@@ -1,9 +1,10 @@
-"""Pure-Python sweep kernel.
+"""The sweep kernel.
 
 Processes a contiguous lexicographic range of error patterns of fixed weight
-and tallies decoder outcomes.  The compiled extension (_speedups) implements
-the same entry point with the same semantics; injection.py picks whichever
-is available at import time.
+and tallies decoder outcomes.  It writes out its own copy of the decode
+ladder over integer tables (injection.build_sweep_tables), independent of
+the codec's decision table, so the tests and the benchmark can pin the
+codec and the kernel against each other.
 
 Patterns are combinations of absolute bit positions.  Per-position syndrome
 contributions are precomputed as packed integers (address bits shifted left

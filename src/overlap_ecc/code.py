@@ -17,13 +17,19 @@ forms), for m data bits and k check bits per layer:
     [m+k+1, m+2k+1)     inner check bits ci
     m+2k+1              inner parity pi
 
-Decoding is table-driven.  Check bits are never corrected: they are
-recomputable from corrected data, so only the data region is repaired.
+Two cached tables per configuration drive the codec.  Each position's
+packed syndrome contribution (syndrome_contributions) makes a word's
+syndrome one XOR fold, which encode, recompute_and_syndromes and decode
+share.  The decision table (decision_table) holds the decode ladder's
+action for every packed syndrome, so decoding is one lookup.  Check bits
+are never corrected: they are recomputable from corrected data, so only
+the data region is repaired.
 """
 
 from __future__ import annotations
 
 import functools
+import types
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -236,30 +242,6 @@ class SyndromeSet:
     ear_inner: int
 
     @property
-    def outer_nonzero(self) -> int:
-        return 1 if self.ear_outer else 0
-
-    @property
-    def inner_nonzero(self) -> int:
-        return 1 if self.ear_inner else 0
-
-    @property
-    def se_outer(self) -> bool:
-        return bool(self.outer_nonzero and self.s_po)
-
-    @property
-    def de_outer(self) -> bool:
-        return bool(self.outer_nonzero and not self.s_po)
-
-    @property
-    def se_inner(self) -> bool:
-        return bool(self.inner_nonzero and self.s_pi)
-
-    @property
-    def de_inner(self) -> bool:
-        return bool(self.inner_nonzero and not self.s_pi)
-
-    @property
     def detected(self) -> bool:
         """OR over every syndrome bit, evaluated before any correction."""
         return bool(self.ear_outer or self.ear_inner or self.s_po or self.s_pi)
@@ -282,36 +264,14 @@ class DecodeOutcome:
     syndromes: SyndromeSet
 
 
-class DoubleErrorTable:
-    """Lookup from composite (outer, inner) error addresses to a data pair.
+@functools.lru_cache(maxsize=None)
+def build_double_error_table(cfg: OverlapConfig) -> Mapping:
+    """Composite-address table over all C(m,2) data pairs; raises on collision.
 
     Every unordered data pair {a, b} is keyed by
     (lo(a) XOR lo(b), li(a) XOR li(b)); valid assignments make these keys
-    unique, which construction enforces.
+    unique.  The table is cached, so it is returned read-only.
     """
-
-    def __init__(self, entries: Mapping):
-        self._entries = dict(entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
-    def __getitem__(self, key) -> tuple:
-        return self._entries[key]
-
-    def get(self, key, default=None):
-        return self._entries.get(key, default)
-
-    def items(self):
-        return self._entries.items()
-
-
-@functools.lru_cache(maxsize=None)
-def build_double_error_table(cfg: OverlapConfig) -> DoubleErrorTable:
-    """Composite-address table over all C(m,2) data pairs; raises on collision."""
     lo = cfg.outer.logical_of_physical
     li = cfg.inner.logical_of_physical
     entries = {}
@@ -324,55 +284,75 @@ def build_double_error_table(cfg: OverlapConfig) -> DoubleErrorTable:
                     f"{(a, b)} both map to {key}"
                 )
             entries[key] = (a, b)
-    return DoubleErrorTable(entries)
+    return types.MappingProxyType(entries)
 
 
-def derive_check_equations(cfg: OverlapConfig, layer: str = "outer") -> tuple:
-    """Data positions covered by each check bit of one layer.
+@functools.lru_cache(maxsize=None)
+def syndrome_contributions(cfg: OverlapConfig) -> tuple:
+    """Packed syndrome contribution of each layout position (length n).
 
-    Check bit j (j=0 most significant) covers every data position whose
-    logical address has bit 2**(k-1-j) set.
+    A layer's packed syndrome is (error address << 1) | parity bit; a
+    position contributes (outer << (k+1)) | inner.  Data position p carries
+    its logical address in each layer, check bit j carries 2**(k-1-j) in its
+    own layer, and every position except the other layer's bits flips that
+    layer's parity.  The packed syndrome of a stored word is the XOR of the
+    contributions of its set bits, so it is zero exactly on codewords.
     """
-    if layer == "outer":
-        logical = cfg.outer.logical_of_physical
-    elif layer == "inner":
-        logical = cfg.inner.logical_of_physical
-    else:
-        raise ValueError(f"layer must be 'outer' or 'inner', got {layer!r}")
     k = cfg.k
-    return tuple(
-        tuple(p for p, addr in enumerate(logical) if addr >> (k - 1 - j) & 1)
-        for j in range(k)
-    )
+    outer = [0] * cfg.n
+    inner = [0] * cfg.n
+    for p in range(cfg.m):
+        outer[p] = (cfg.outer.logical_of_physical[p] << 1) | 1
+        inner[p] = (cfg.inner.logical_of_physical[p] << 1) | 1
+    for j in range(k):
+        check = (1 << (k - j)) | 1
+        outer[cfg.co_start + j] = check
+        inner[cfg.ci_start + j] = check
+    outer[cfg.po_pos] = 1
+    inner[cfg.pi_pos] = 1
+    return tuple((o << (k + 1)) | i for o, i in zip(outer, inner))
+
+
+def _packed_syndrome(contributions: Sequence[int], bits: Iterable[int]) -> int:
+    s = 0
+    for c, b in zip(contributions, bits):
+        if b:
+            s ^= c
+    return s
+
+
+def _address_bits(addr: int, k: int) -> BitVec:
+    return tuple((addr >> (k - 1 - j)) & 1 for j in range(k))
 
 
 def encode(cfg: OverlapConfig, data) -> Codestruct:
     """Encode m data bits: per-layer check bits plus an overall parity each.
 
     Each parity bit covers all data bits and that layer's check bits, turning
-    the plain Hamming layer into an extended (distance-4) one.
+    the plain Hamming layer into an extended (distance-4) one.  The check
+    bits repeat the data's XORed addresses, which zeroes the word's syndrome.
     """
     d = as_bits(data, cfg.m)
-    co = tuple(_xor_over(d, cover) for cover in derive_check_equations(cfg, "outer"))
-    ci = tuple(_xor_over(d, cover) for cover in derive_check_equations(cfg, "inner"))
-    all_data = _xor_all(d)
-    po = all_data ^ _xor_all(co)
-    pi = all_data ^ _xor_all(ci)
-    return Codestruct(data=d, co=co, po=po, ci=ci, pi=pi)
+    k = cfg.k
+    s = _packed_syndrome(syndrome_contributions(cfg), d)
+    o = s >> (k + 1)
+    i = s & ((1 << (k + 1)) - 1)
+    return Codestruct(data=d, co=_address_bits(o >> 1, k), po=o.bit_count() & 1,
+                      ci=_address_bits(i >> 1, k), pi=i.bit_count() & 1)
 
 
-def _xor_over(bits: Sequence[int], positions: Iterable[int]) -> int:
-    v = 0
-    for p in positions:
-        v ^= bits[p]
-    return v
+def _stored_syndrome(cfg: OverlapConfig, cs: Codestruct) -> int:
+    if len(cs.data) != cfg.m or len(cs.co) != cfg.k or len(cs.ci) != cfg.k:
+        raise ValueError("codestruct does not match config geometry")
+    return _packed_syndrome(syndrome_contributions(cfg), cs.bits())
 
 
-def _xor_all(bits: Iterable[int]) -> int:
-    v = 0
-    for b in bits:
-        v ^= b
-    return v
+def _syndrome_set(k: int, s: int) -> SyndromeSet:
+    o = s >> (k + 1)
+    i = s & ((1 << (k + 1)) - 1)
+    return SyndromeSet(s_co=_address_bits(o >> 1, k), s_po=o & 1,
+                       s_ci=_address_bits(i >> 1, k), s_pi=i & 1,
+                       ear_outer=o >> 1, ear_inner=i >> 1)
 
 
 def recompute_and_syndromes(cfg: OverlapConfig, cs: Codestruct) -> SyndromeSet:
@@ -383,33 +363,53 @@ def recompute_and_syndromes(cfg: OverlapConfig, cs: Codestruct) -> SyndromeSet:
     recomputed from stored data XOR *stored* (not recomputed) check bits, so
     a lone check-bit flip shows up in both the address and the parity.
     """
-    if len(cs.data) != cfg.m or len(cs.co) != cfg.k or len(cs.ci) != cfg.k:
-        raise ValueError("codestruct does not match config geometry")
+    return _syndrome_set(cfg.k, _stored_syndrome(cfg, cs))
+
+
+def _ladder(cfg: OverlapConfig, pairs: Mapping, o: int, i: int) -> DecodeAction:
+    """The decode ladder for one nonzero packed syndrome; see decode()."""
+    ear_o = o >> 1
+    ear_i = i >> 1
+    if ear_o == 0 or ear_i == 0:
+        return DecodeAction("detected_only")
+    pair = pairs.get((ear_o, ear_i))
+    if pair is not None and cfg.decode_profile == "double_first" and not i & 1:
+        return DecodeAction("double_pair", pair)
+    if o & 1:  # single error according to the outer layer
+        kind, pos = "single_outer", cfg.outer.physical_of_logical[ear_o]
+    elif i & 1:  # single error according to the inner layer
+        kind, pos = "single_inner", cfg.inner.physical_of_logical[ear_i]
+    elif pair is not None:  # both layers report doubles
+        return DecodeAction("double_pair", pair)
+    else:
+        return DecodeAction("detected_only")
+    return DecodeAction(kind, (pos,)) if pos >= 0 else DecodeAction("detected_only")
+
+
+@functools.lru_cache(maxsize=None)
+def decision_table(cfg: OverlapConfig) -> tuple:
+    """The decoder's action for every packed syndrome (o << (k+1)) | i.
+
+    Entry 0 (a clean word) is None; every other entry is the ladder's
+    DecodeAction, with equal actions shared between entries.
+    """
     k = cfg.k
-    s_co = tuple(
-        _xor_over(cs.data, cover) ^ cs.co[j]
-        for j, cover in enumerate(derive_check_equations(cfg, "outer"))
-    )
-    s_ci = tuple(
-        _xor_over(cs.data, cover) ^ cs.ci[j]
-        for j, cover in enumerate(derive_check_equations(cfg, "inner"))
-    )
-    all_data = _xor_all(cs.data)
-    s_po = all_data ^ _xor_all(cs.co) ^ cs.po
-    s_pi = all_data ^ _xor_all(cs.ci) ^ cs.pi
-    ear_o = 0
-    ear_i = 0
-    for j in range(k):
-        ear_o |= s_co[j] << (k - 1 - j)
-        ear_i |= s_ci[j] << (k - 1 - j)
-    return SyndromeSet(s_co=s_co, s_po=s_po, s_ci=s_ci, s_pi=s_pi,
-                       ear_outer=ear_o, ear_inner=ear_i)
+    low = (1 << (k + 1)) - 1
+    pairs = build_double_error_table(cfg)
+    shared = {}
+    table = [None]
+    for s in range(1, 1 << (2 * k + 2)):
+        action = _ladder(cfg, pairs, s >> (k + 1), s & low)
+        table.append(shared.setdefault(action, action))
+    return tuple(table)
 
 
 def decode(cfg: OverlapConfig, cs: Codestruct) -> DecodeOutcome:
     """Table-driven single/double-error decoder.
 
-    Branch order matters.  With the default ``single_first`` profile:
+    The stored word's packed syndrome indexes decision_table(cfg), which
+    holds the ladder's answer for every syndrome.  Branch order matters.
+    With the default ``single_first`` profile:
 
     1. either layer's error address is zero -> no correction (that layer saw
        nothing, or only its own parity/check bits are hit);
@@ -431,50 +431,12 @@ def decode(cfg: OverlapConfig, cs: Codestruct) -> DecodeOutcome:
     Check bits are never corrected.  ``detected`` is the OR of all syndrome
     bits, evaluated before correction.
     """
-    syn = recompute_and_syndromes(cfg, cs)
-    detected = syn.detected
-    action: DecodeAction | None = None
-    new_data = cs.data
-
-    if syn.ear_outer == 0 or syn.ear_inner == 0:
-        if detected:
-            action = DecodeAction("detected_only")
-        fixed = Codestruct(data=new_data, co=cs.co, po=cs.po, ci=cs.ci, pi=cs.pi)
-        return DecodeOutcome(data=new_data, detected=detected, action=action,
-                             codestruct=fixed, syndromes=syn)
-
-    key = (syn.ear_outer, syn.ear_inner)
-    if cfg.decode_profile == "double_first" and not syn.s_pi:
-        pair = build_double_error_table(cfg).get(key)
-        if pair is not None:
-            new_data = _flip(new_data, pair)
-            action = DecodeAction("double_pair", pair)
-    if action is None:
-        if syn.s_po:  # single error according to the outer layer
-            pos = cfg.outer.physical_of_logical[syn.ear_outer]
-            if pos >= 0:
-                new_data = _flip(new_data, (pos,))
-                action = DecodeAction("single_outer", (pos,))
-            else:
-                action = DecodeAction("detected_only")
-        elif syn.s_pi:  # single error according to the inner layer
-            pos = cfg.inner.physical_of_logical[syn.ear_inner]
-            if pos >= 0:
-                new_data = _flip(new_data, (pos,))
-                action = DecodeAction("single_inner", (pos,))
-            else:
-                action = DecodeAction("detected_only")
-        else:  # both layers report doubles
-            pair = build_double_error_table(cfg).get(key)
-            if pair is not None:
-                new_data = _flip(new_data, pair)
-                action = DecodeAction("double_pair", pair)
-            else:
-                action = DecodeAction("detected_only")
-
-    fixed = Codestruct(data=new_data, co=cs.co, po=cs.po, ci=cs.ci, pi=cs.pi)
-    return DecodeOutcome(data=new_data, detected=detected, action=action,
-                         codestruct=fixed, syndromes=syn)
+    s = _stored_syndrome(cfg, cs)
+    action = decision_table(cfg)[s]
+    data = _flip(cs.data, action.positions) if action else cs.data
+    fixed = Codestruct(data=data, co=cs.co, po=cs.po, ci=cs.ci, pi=cs.pi)
+    return DecodeOutcome(data=data, detected=s != 0, action=action,
+                         codestruct=fixed, syndromes=_syndrome_set(cfg.k, s))
 
 
 def _flip(bits: BitVec, positions: Iterable[int]) -> BitVec:

@@ -11,8 +11,6 @@ else.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -22,17 +20,6 @@ def _check_bits(bits: Iterable[int]) -> tuple[int, ...]:
         if b not in (0, 1):
             raise ValueError(f"bit values must be 0 or 1, got {b!r}")
     return out
-
-
-def parity_bit(data: Iterable[int]) -> int:
-    """Even-parity bit of a bit sequence (XOR fold)."""
-    bits = _check_bits(data)
-    if not bits:
-        raise ValueError("parity_bit needs at least one bit")
-    p = 0
-    for b in bits:
-        p ^= b
-    return p
 
 
 def min_check_bits(m: int) -> int:
@@ -47,52 +34,6 @@ def min_check_bits(m: int) -> int:
     while (1 << k) < k + m + 1:
         k += 1
     return k
-
-
-@dataclass(frozen=True)
-class DistanceLimits:
-    """Correction/detection limits implied by a code's minimum distance."""
-
-    distance: int
-    max_correct: int
-    max_detect: int
-
-
-def distance_limits(d: int, simultaneous: bool = False) -> DistanceLimits:
-    """Limits for a code of minimum distance ``d``.
-
-    With ``simultaneous=False`` the full distance budget goes to detection
-    (ED = d - 1).  With ``simultaneous=True`` detection shares the budget
-    with correction (ED = d - EC - 1); EC = (d - 1) // 2 either way.
-    """
-    if d < 1:
-        raise ValueError("distance must be >= 1")
-    ec = (d - 1) // 2
-    ed = d - ec - 1 if simultaneous else d - 1
-    return DistanceLimits(distance=d, max_correct=ec, max_detect=ed)
-
-
-class ErrorClass(enum.Enum):
-    """Per-layer classification from (Hamming syndrome nonzero, parity syndrome)."""
-
-    NO_ERROR = "no_error"
-    SINGLE_PARITY = "single_parity"   # only the parity bit itself flipped
-    DOUBLE = "double"                 # even number of flips seen by this layer
-    SINGLE = "single"                 # odd flip count with a nonzero address
-
-
-def classify_syndrome(s: int, delta: int) -> ErrorClass:
-    """Classify one extended-Hamming layer's state.
-
-    ``s`` is 1 when the Hamming syndrome is nonzero, ``delta`` is the overall
-    parity syndrome bit.  A nonzero address with even parity means two flips
-    (the addresses of both XOR together); odd parity means one.
-    """
-    if s not in (0, 1) or delta not in (0, 1):
-        raise ValueError("syndrome flags must be 0 or 1")
-    if s == 0:
-        return ErrorClass.SINGLE_PARITY if delta else ErrorClass.NO_ERROR
-    return ErrorClass.SINGLE if delta else ErrorClass.DOUBLE
 
 
 # --- fixed Ham(7,4) reference codec -------------------------------------

@@ -6,7 +6,9 @@ runs and two counters accumulate: patterns whose syndromes flagged anything
 (detected) and patterns after which the data region equals the original
 payload (corrected).  Pattern enumeration is lexicographic and partitionable
 by index range, so sweeps parallelize across processes and stay
-deterministic for any worker count.
+deterministic for any worker count.  The patterns are decoded by the
+integer kernel in _sweep_py; sweep_python_reference runs the same patterns
+through the object-level decoder as an independent cross-check.
 
 Two injector behaviors are supported:
 
@@ -25,29 +27,25 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .code import Codestruct, OverlapConfig, as_bits, build_double_error_table, encode
-
-KERNEL_NAME = "pure"
-if not os.environ.get("OVERLAP_ECC_NO_EXT"):
-    try:
-        from . import _speedups as _kernel
-        KERNEL_NAME = "compiled"
-    except ImportError:  # pragma: no cover - depends on build environment
-        pass
-if KERNEL_NAME == "pure":
-    from . import _sweep_py as _kernel
-
-from . import _sweep_py
+from . import _sweep_py as _kernel
+from .code import (
+    Codestruct,
+    OverlapConfig,
+    as_bits,
+    build_double_error_table,
+    decode,
+    encode,
+    syndrome_contributions,
+)
 
 
 def active_kernel() -> str:
-    """'compiled' when the C extension is in use, else 'pure'."""
-    return KERNEL_NAME
+    """Name of the sweep engine: 'pure', the Python kernel in _sweep_py."""
+    return "pure"
 
 
 class Region(enum.Enum):
@@ -158,9 +156,10 @@ def reports_to_json_obj(reports: Sequence[SweepReport]) -> dict:
 # --- kernel plumbing -------------------------------------------------------
 
 def build_sweep_tables(cfg: OverlapConfig) -> dict:
-    """Precomputed integer tables the kernels consume.
+    """Precomputed integer tables the sweep kernel consumes.
 
-    full_o/full_i pack each position's syndrome contribution as
+    full_o/full_i split each position's packed syndrome contribution
+    (see code.syndrome_contributions) into its outer and inner halves,
     (error-address bits << 1) | parity bit.  inv_flip_* turn a layer's error
     address into a single-bit data flip mask (0 when unmapped).  dtab turns
     the composite (outer << k) | inner key into a two-bit flip mask
@@ -168,17 +167,9 @@ def build_sweep_tables(cfg: OverlapConfig) -> dict:
     config's decode profile (0 single_first, 1 double_first).
     """
     m, k, n = cfg.m, cfg.k, cfg.n
-    full_o = [0] * n
-    full_i = [0] * n
-    for p in range(m):
-        full_o[p] = (cfg.outer.logical_of_physical[p] << 1) | 1
-        full_i[p] = (cfg.inner.logical_of_physical[p] << 1) | 1
-    for j in range(k):
-        addr = 1 << (k - 1 - j)
-        full_o[cfg.co_start + j] = (addr << 1) | 1
-        full_i[cfg.ci_start + j] = (addr << 1) | 1
-    full_o[cfg.po_pos] = 1
-    full_i[cfg.pi_pos] = 1
+    contributions = syndrome_contributions(cfg)
+    full_o = [c >> (k + 1) for c in contributions]
+    full_i = [c & ((1 << (k + 1)) - 1) for c in contributions]
 
     top = 1 << k
     inv_flip_o = [0] * top
@@ -237,14 +228,14 @@ def _run_chunk(args):
 
 
 def sweep(cfg: OverlapConfig, region: Region, e_min: int, e_max: int,
-          payload=None, injector: str = "mirror", workers: int = 1,
-          kernel=None) -> list:
+          payload=None, injector: str = "mirror", workers: int = 1) -> list:
     """Exhaustive sweeps for every weight in [e_min, e_max].
 
     payload defaults to all-zero data.  injector is 'mirror' (reproduces the
     reference tables; default) or 'flip' (plain XOR).  workers > 1 splits
-    each weight's pattern stream by index range across processes; counters
-    merge by summation, so results are identical for any worker count.
+    each weight's pattern stream by index range and runs the chunks of every
+    weight in one process pool; counters merge by summation, so results are
+    identical for any worker count.
     """
     if injector not in ("mirror", "flip"):
         raise ValueError(f"injector must be 'mirror' or 'flip', got {injector!r}")
@@ -257,33 +248,31 @@ def sweep(cfg: OverlapConfig, region: Region, e_min: int, e_max: int,
     diff_field = payload_diff_field(cfg, cs) if mirror else 0
     tables = build_sweep_tables(cfg)
     base, hi = region.bounds(cfg.m, cfg.n)
-    run = _run_chunk if kernel is None else (lambda a: kernel.sweep_chunk(
-        a[0]["full_o"], a[0]["full_i"], a[0]["inv_flip_o"], a[0]["inv_flip_i"],
-        a[0]["dtab"], a[0]["m"], a[0]["k"], *a[1:], a[0]["profile"]))
 
-    reports = []
-    for e in range(e_min, e_max + 1):
+    weights = range(e_min, e_max + 1)
+    jobs = []
+    for e in weights:
         total = math.comb(size, e)
-        jobs = []
-        w = max(1, min(workers, total)) if total else 1
-        chunk = -(-total // w) if total else 0
-        for start in range(0, total, chunk or 1):
+        chunk = -(-total // max(1, min(workers, total)))
+        for start in range(0, total, chunk):
             count = min(chunk, total - start)
             c0 = unrank_combination(start, size, e, base)
             jobs.append((tables, e, c0, count, hi, mirror, diff_field))
-            if chunk == 0:
-                break
-        if workers > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_chunk, jobs))
-        else:
-            results = [run(j) for j in jobs]
-        corrected = sum(r[0] for r in results)
-        detected = sum(r[1] for r in results)
-        reports.append(SweepReport(code=cfg.name, region=region, errors=e,
-                                   decodings=total, corrected=corrected,
-                                   detected=detected))
-    return reports
+    if workers > 1 and len(jobs) > len(weights):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_chunk, jobs))
+    else:
+        results = [_run_chunk(j) for j in jobs]
+
+    corrected = dict.fromkeys(weights, 0)
+    detected = dict.fromkeys(weights, 0)
+    for (_tables, e, *_rest), (c, d) in zip(jobs, results):
+        corrected[e] += c
+        detected[e] += d
+    return [SweepReport(code=cfg.name, region=region, errors=e,
+                        decodings=math.comb(size, e), corrected=corrected[e],
+                        detected=detected[e])
+            for e in weights]
 
 
 def sweep_python_reference(cfg: OverlapConfig, region: Region, e: int,
@@ -292,10 +281,8 @@ def sweep_python_reference(cfg: OverlapConfig, region: Region, e: int,
 
     Applies each pattern with apply_pattern semantics (plus the mirror
     adjustment when asked), runs decode(), and compares data.  Used by tests
-    to validate the integer kernels; unusable for large sweeps.
+    to validate the integer kernel; unusable for large sweeps.
     """
-    from .code import decode, recompute_and_syndromes
-
     data = (0,) * cfg.m if payload is None else as_bits(payload, cfg.m)
     clean = encode(cfg, data)
     size = region.size(cfg.m, cfg.n)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from overlap_ecc import _sweep_py
 from overlap_ecc.code import (
     BUILTIN_NAMES,
     AddressAssignment,
@@ -15,10 +16,10 @@ from overlap_ecc.code import (
     build_double_error_table,
     builtin_config,
     decode,
-    derive_check_equations,
     encode,
     recompute_and_syndromes,
 )
+from overlap_ecc.injection import build_sweep_tables
 
 
 def flip(cs: Codestruct, cfg: OverlapConfig, *positions) -> Codestruct:
@@ -48,15 +49,20 @@ def test_encode_zero_payload_is_all_zero():
 
 
 def test_check_equations_match_addresses():
-    cfg = builtin_config("3x3")
-    eqs = derive_check_equations(cfg, "outer")
-    # check j covers exactly the positions whose address carries 2**(k-1-j)
-    for j, cover in enumerate(eqs):
-        weight = 1 << (cfg.k - 1 - j)
-        expect = {p for p, a in enumerate(cfg.outer.logical_of_physical) if a & weight}
-        assert set(cover) == expect
-    with pytest.raises(ValueError):
-        derive_check_equations(cfg, "sideways")
+    # check j of each layer is the XOR of the data bits whose address carries
+    # 2**(k-1-j); the parity covers the data and that layer's check bits
+    rng = random.Random(4)
+    for name in BUILTIN_NAMES:
+        cfg = builtin_config(name)
+        for _ in range(20):
+            data = tuple(rng.randrange(2) for _ in range(cfg.m))
+            cs = encode(cfg, data)
+            for checks, parity, layer in ((cs.co, cs.po, cfg.outer), (cs.ci, cs.pi, cfg.inner)):
+                for j, bit in enumerate(checks):
+                    weight = 1 << (cfg.k - 1 - j)
+                    cover = [d for d, a in zip(data, layer.logical_of_physical) if a & weight]
+                    assert bit == sum(cover) % 2
+                assert parity == (sum(data) + sum(checks)) % 2
 
 
 def test_single_data_flip_reads_both_addresses():
@@ -73,6 +79,8 @@ def test_double_table_worked_entries():
     assert table[(6, 14)] == (0, 1)
     assert table[(15, 1)] == (3, 5)
     assert len(table) == 36  # C(9,2)
+    with pytest.raises(TypeError):
+        table[(1, 1)] = (0, 0)  # cached, so read-only
 
 
 # --- decoding ladder -------------------------------------------------------
@@ -119,6 +127,51 @@ def test_decode_parity_plus_data_is_single():
     clean = encode(cfg, (0,) * 9)
     out = decode(cfg, flip(clean, cfg, 3, cfg.po_pos))
     assert out.data == clean.data
+
+
+def _packed(cfg: OverlapConfig, syn) -> int:
+    outer = (syn.ear_outer << 1) | syn.s_po
+    inner = (syn.ear_inner << 1) | syn.s_pi
+    return (outer << (cfg.k + 1)) | inner
+
+
+def _reference_tally(cfg: OverlapConfig, tables: dict, pattern: list) -> tuple:
+    """(corrected, detected) of the sweep kernel's ladder on one flip pattern."""
+    return _sweep_py.sweep_chunk(
+        tables["full_o"], tables["full_i"], tables["inv_flip_o"], tables["inv_flip_i"],
+        tables["dtab"], tables["m"], tables["k"], len(pattern), pattern, 1, cfg.n,
+        0, 0, tables["profile"])
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_decision_table_matches_reference_ladder(name):
+    # The 2k+2 check-region bits reach every syndrome exactly once.  A
+    # check-only pattern is corrected iff the syndrome's action flips no data;
+    # adding the action's own data flips (and re-aiming the check bits at the
+    # same syndrome) is corrected iff both ladders flip exactly those bits.
+    cfg = builtin_config(name)
+    tables = build_sweep_tables(cfg)
+    clean = encode(cfg, (0,) * cfg.m)
+    checks = range(cfg.m, cfg.n)
+    pattern_of = {}
+    for mask in range(1 << len(checks)):
+        pattern = [p for b, p in enumerate(checks) if mask >> b & 1]
+        out = decode(cfg, flip(clean, cfg, *pattern))
+        pattern_of[_packed(cfg, out.syndromes)] = pattern
+        assert _reference_tally(cfg, tables, pattern) == \
+            (int(out.data == clean.data), int(out.detected))
+    assert len(pattern_of) == 1 << len(checks)
+
+    for s, pattern in pattern_of.items():
+        action = decode(cfg, flip(clean, cfg, *pattern)).action
+        if action is None or not action.positions:
+            continue
+        data_flips = list(action.positions)
+        s_data = _packed(cfg, recompute_and_syndromes(cfg, flip(clean, cfg, *data_flips)))
+        word = sorted(data_flips + pattern_of[s ^ s_data])
+        out = decode(cfg, flip(clean, cfg, *word))
+        assert out.action is action and out.data == clean.data
+        assert _reference_tally(cfg, tables, word) == (1, 1)
 
 
 # --- decode profiles -------------------------------------------------------

@@ -4,26 +4,11 @@ import pytest
 
 from overlap_ecc.hamming import (
     HAM74_ADDRESS_TO_POSITION,
-    DistanceLimits,
-    ErrorClass,
-    classify_syndrome,
-    distance_limits,
     ham74_encode,
     ham74_error_address,
     ham74_syndrome,
     min_check_bits,
-    parity_bit,
 )
-
-
-def test_parity_bit_folds_xor():
-    assert parity_bit([0, 0, 0]) == 0
-    assert parity_bit([1, 0, 1, 1]) == 1
-    assert parity_bit((1,)) == 1
-    with pytest.raises(ValueError):
-        parity_bit([])
-    with pytest.raises(ValueError):
-        parity_bit([0, 2])
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (4, 3), (9, 4), (11, 4), (16, 5),
@@ -37,25 +22,6 @@ def test_min_check_bits(m, k):
 def test_min_check_bits_rejects_nonpositive():
     with pytest.raises(ValueError):
         min_check_bits(0)
-
-
-def test_distance_limits():
-    # distance 4 (extended Hamming): SEC plus DED when used simultaneously
-    assert distance_limits(4, simultaneous=True) == DistanceLimits(4, 1, 2)
-    assert distance_limits(4) == DistanceLimits(4, 1, 3)
-    assert distance_limits(3, simultaneous=True) == DistanceLimits(3, 1, 1)
-    with pytest.raises(ValueError):
-        distance_limits(0)
-
-
-@pytest.mark.parametrize("s,delta,want", [
-    (0, 0, ErrorClass.NO_ERROR),
-    (0, 1, ErrorClass.SINGLE_PARITY),
-    (1, 0, ErrorClass.DOUBLE),
-    (1, 1, ErrorClass.SINGLE),
-])
-def test_classify_syndrome(s, delta, want):
-    assert classify_syndrome(s, delta) is want
 
 
 def test_ham74_encode_worked_example():

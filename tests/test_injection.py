@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from overlap_ecc import _sweep_py
 from overlap_ecc.code import BUILTIN_NAMES, Codestruct, builtin_config, decode, encode
 from overlap_ecc.injection import (
     Region,
@@ -18,23 +17,7 @@ from overlap_ecc.injection import (
     sweep_python_reference,
     unrank_combination,
 )
-
-try:
-    from overlap_ecc import _speedups
-except ImportError:  # extension not built in this environment
-    _speedups = None
-
-
-def test_no_ext_env_var_forces_pure_kernel():
-    import os
-    import subprocess
-    import sys
-
-    probe = "import overlap_ecc; print(overlap_ecc.active_kernel())"
-    env = dict(os.environ, OVERLAP_ECC_NO_EXT="1")
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "pure"
+from overlap_ecc.search import search_assignment
 
 
 # --- plumbing --------------------------------------------------------------
@@ -89,8 +72,7 @@ def test_pure_kernel_matches_object_decoder(name, injector):
     payload = tuple(rng.randrange(2) for _ in range(cfg.m))
     for region in Region:
         e_max = min(4, region.size(cfg.m, cfg.n))
-        got = sweep(cfg, region, 0, e_max, payload=payload, injector=injector,
-                    kernel=_sweep_py)
+        got = sweep(cfg, region, 0, e_max, payload=payload, injector=injector)
         for r in got:
             ref = sweep_python_reference(cfg, region, r.errors, payload=payload,
                                          injector=injector)
@@ -98,25 +80,33 @@ def test_pure_kernel_matches_object_decoder(name, injector):
             assert r.decodings == ref.decodings
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_compiled_kernel_matches_pure(name):
-    cfg = builtin_config(name)
-    for injector in ("mirror", "flip"):
-        for region in Region:
-            e_max = min(6, region.size(cfg.m, cfg.n))
-            fast = sweep(cfg, region, 0, e_max, injector=injector, kernel=_speedups)
-            slow = sweep(cfg, region, 0, e_max, injector=injector, kernel=_sweep_py)
-            assert [(r.corrected, r.detected) for r in fast] == \
-                   [(r.corrected, r.detected) for r in slow]
-
-
 def test_kernels_cover_double_first_profile():
-    # 4x4 ships the up-front pair probe; make sure the fast paths share it
+    # 4x4 ships the up-front pair probe; make sure the kernel shares it
     cfg = builtin_config("4x4")
     ref = sweep_python_reference(cfg, Region.CODESTRUCT, 3)
-    via_pure = sweep(cfg, Region.CODESTRUCT, 3, 3, kernel=_sweep_py)[0]
+    via_pure = sweep(cfg, Region.CODESTRUCT, 3, 3)[0]
     assert (via_pure.corrected, via_pure.detected) == (ref.corrected, ref.detected)
+
+
+def test_wide_searched_config_matches_reference():
+    # n = 37 > 32: no pattern mask or syndrome may be cut to 32 bits
+    cfg = search_assignment(25, k=5, seed=1).to_config("5x5", rows=5, cols=5)
+    assert cfg.n == 37
+    rng = random.Random(8)
+    payload = tuple(rng.randrange(2) for _ in range(cfg.m))
+    for injector in ("mirror", "flip"):
+        for region in Region:
+            e_max = 3 if region is Region.CHECK else 2
+            for r in sweep(cfg, region, 0, e_max, payload=payload, injector=injector):
+                ref = sweep_python_reference(cfg, region, r.errors, payload=payload,
+                                             injector=injector)
+                assert (r.decodings, r.corrected, r.detected) == \
+                       (ref.decodings, ref.corrected, ref.detected)
+    clean = encode(cfg, payload)
+    for e in (1, 2):
+        for pattern in enumerate_patterns(cfg.n, e):
+            out = decode(cfg, apply_pattern(clean, pattern, Region.CODESTRUCT))
+            assert out.detected and out.data == clean.data, pattern
 
 
 # --- sweep semantics -------------------------------------------------------
