@@ -1,10 +1,10 @@
-"""The sweep kernel.
+"""The enumeration reference kernel.
 
 Processes a contiguous lexicographic range of error patterns of fixed weight
 and tallies decoder outcomes.  It writes out its own copy of the decode
 ladder over integer tables (injection.build_sweep_tables), independent of
-the codec's decision table, so the tests and the benchmark can pin the
-codec and the kernel against each other.
+the codec's decision table, so the tests and the benchmark can pin it
+against the codec and the exact counts of injection.sweep().
 
 Patterns are combinations of absolute bit positions.  Per-position syndrome
 contributions are precomputed as packed integers (address bits shifted left

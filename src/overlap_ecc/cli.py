@@ -20,6 +20,7 @@ import click
 from . import __version__
 from .code import (
     BUILTIN_NAMES,
+    AddressAssignment,
     Codestruct,
     builtin_config,
     decode as decode_word,
@@ -80,6 +81,22 @@ def _parse_error_range(spec: str) -> tuple:
     return e_min, e_max
 
 
+def _load_maps(path: str) -> tuple:
+    """Both layers of a JSON maps file: "outer" and "inner" address lists
+    plus an optional "k", else the smallest k that holds every address."""
+    try:
+        obj = json.loads(Path(path).read_text())
+        layers = [obj["outer"], obj["inner"]]
+    except (ValueError, KeyError, TypeError):
+        raise ValueError(f'{path}: want a JSON object with "outer" and "inner" lists') from None
+    if not all(isinstance(a, list) and a and all(type(x) is int for x in a) for a in layers):
+        raise ValueError(f"{path}: address lists must be non-empty lists of integers")
+    k = obj.get("k", max(2, *(max(a).bit_length() for a in layers)))
+    if type(k) is not int or not 2 <= k <= 16:  # tables have 2**k entries
+        raise ValueError(f"{path}: k must be an integer in [2, 16], got {k!r}")
+    return tuple(AddressAssignment.from_logical(a, k) for a in layers)
+
+
 @click.group()
 @click.version_option(__version__, prog_name="overlap-ecc")
 def cli():
@@ -134,7 +151,8 @@ def cmd_decode(ctx, name, hex_str, out):
               help="error weight N or range N..M")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+              help="accepted and ignored: sweeps count exactly in one process")
 @click.option("--injector", type=click.Choice(["mirror", "flip"]), default="mirror",
               show_default=True)
 @click.option("--all", "run_all", is_flag=True,
@@ -143,8 +161,6 @@ def cmd_decode(ctx, name, hex_str, out):
 @click.pass_context
 def cmd_sweep(ctx, name, region_str, errors_spec, fmt, workers, injector, run_all, out):
     """Exhaustive fault-injection sweep(s); correction and detection rates."""
-    if workers < 1:
-        raise click.UsageError("--workers must be >= 1")
     if run_all:
         cells = [(c, r, 1, 8) for c in BUILTIN_NAMES
                  for r in (Region.DATA, Region.CHECK, Region.CODESTRUCT)]
@@ -169,8 +185,7 @@ def cmd_sweep(ctx, name, region_str, errors_spec, fmt, workers, injector, run_al
         if e_max > size:
             click.echo(f"warning: {code_name} {region.value}: skipping weights "
                        f"{size + 1}..{e_max}, region has only {size} bits", err=True)
-        reports.extend(sweep(cfg, region, e_min, min(e_max, size),
-                             injector=injector, workers=workers))
+        reports.extend(sweep(cfg, region, e_min, min(e_max, size), injector=injector))
     if fmt == "csv":
         text = reports_to_csv(reports)
     else:
@@ -209,14 +224,11 @@ def cmd_verify_maps(ctx, name, path, out):
         raise click.UsageError("pass exactly one of --builtin or --file")
     if name:
         cfg = builtin_config(name)
-        outer, inner = cfg.outer, cfg.inner
-        label = name
+        outer, inner, label = cfg.outer, cfg.inner, name
     else:
-        obj = json.loads(Path(path).read_text())
-        outer, inner = obj["outer"], obj["inner"]
-        label = path
+        outer, inner, label = *_load_maps(path), path
     report = validate_assignment(outer, inner)
-    m = len(getattr(outer, "logical_of_physical", outer))
+    m = len(outer)
     lines = []
     if report.ok:
         lines.append(f"ok: {label}: {m * (m - 1) // 2} unique composite keys "

@@ -4,11 +4,9 @@ Every error pattern of a given weight inside a region (data bits, check
 bits, or the whole codestruct) is applied to an encoded word; the decoder
 runs and two counters accumulate: patterns whose syndromes flagged anything
 (detected) and patterns after which the data region equals the original
-payload (corrected).  Pattern enumeration is lexicographic and partitionable
-by index range, so sweeps parallelize across processes and stay
-deterministic for any worker count.  The patterns are decoded by the
-integer kernel in _sweep_py; sweep_python_reference runs the same patterns
-through the object-level decoder as an independent cross-check.
+payload (corrected).  sweep() counts both exactly from code.decision_table;
+the integer kernel in _sweep_py and sweep_python_reference (the object-level
+decoder) decode every pattern, as independent references.
 
 Two injector behaviors are supported:
 
@@ -24,19 +22,23 @@ Two injector behaviors are supported:
 
 from __future__ import annotations
 
+import collections
 import enum
+import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import operator
+from concurrent.futures import ProcessPoolExecutor  # unused: benchmarks/perfbench/tracing.py wraps it
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from . import _sweep_py as _kernel
+from . import _sweep_py as _kernel  # enumeration reference; benchmarks/perfbench/probes.py races it
 from .code import (
     Codestruct,
     OverlapConfig,
     as_bits,
     build_double_error_table,
+    decision_table,
     decode,
     encode,
     syndrome_contributions,
@@ -44,7 +46,7 @@ from .code import (
 
 
 def active_kernel() -> str:
-    """Name of the sweep engine: 'pure', the Python kernel in _sweep_py."""
+    """Name of the sweep engine: 'pure', the pure-Python counting in sweep()."""
     return "pure"
 
 
@@ -156,7 +158,7 @@ def reports_to_json_obj(reports: Sequence[SweepReport]) -> dict:
 # --- kernel plumbing -------------------------------------------------------
 
 def build_sweep_tables(cfg: OverlapConfig) -> dict:
-    """Precomputed integer tables the sweep kernel consumes.
+    """Precomputed integer tables the reference kernel (_sweep_py) consumes.
 
     full_o/full_i split each position's packed syndrome contribution
     (see code.syndrome_contributions) into its outer and inner halves,
@@ -166,76 +168,67 @@ def build_sweep_tables(cfg: OverlapConfig) -> dict:
     (0 when the pair table has no entry).  profile is the integer id of the
     config's decode profile (0 single_first, 1 double_first).
     """
-    m, k, n = cfg.m, cfg.k, cfg.n
+    k = cfg.k
     contributions = syndrome_contributions(cfg)
-    full_o = [c >> (k + 1) for c in contributions]
-    full_i = [c & ((1 << (k + 1)) - 1) for c in contributions]
-
-    top = 1 << k
-    inv_flip_o = [0] * top
-    inv_flip_i = [0] * top
-    for addr in range(top):
-        po = cfg.outer.physical_of_logical[addr]
-        pi = cfg.inner.physical_of_logical[addr]
-        if po >= 0:
-            inv_flip_o[addr] = 1 << po
-        if pi >= 0:
-            inv_flip_i[addr] = 1 << pi
-
-    dtab = [0] * (top * top)
+    dtab = [0] * (1 << (2 * k))
     for (ko, ki), (a, b) in build_double_error_table(cfg).items():
         dtab[(ko << k) | ki] = (1 << a) | (1 << b)
-
-    profile = 1 if cfg.decode_profile == "double_first" else 0
-    return {"m": m, "k": k, "n": n, "full_o": full_o, "full_i": full_i,
-            "inv_flip_o": inv_flip_o, "inv_flip_i": inv_flip_i, "dtab": dtab,
-            "profile": profile}
+    return {"m": cfg.m, "k": k, "n": cfg.n,
+            "full_o": [c >> (k + 1) for c in contributions],
+            "full_i": [c & ((1 << (k + 1)) - 1) for c in contributions],
+            "inv_flip_o": [1 << p if p >= 0 else 0 for p in cfg.outer.physical_of_logical],
+            "inv_flip_i": [1 << p if p >= 0 else 0 for p in cfg.inner.physical_of_logical],
+            "dtab": dtab, "profile": int(cfg.decode_profile == "double_first")}
 
 
 def payload_diff_field(cfg: OverlapConfig, cs: Codestruct) -> int:
     """Outer/inner check-bit differences of an encoded word, for mirror mode."""
-    diff = 0
-    for j in range(cfg.k):
-        diff |= (cs.co[j] ^ cs.ci[j]) << j
-    return diff
+    return sum((co ^ ci) << j for j, (co, ci) in enumerate(zip(cs.co, cs.ci)))
 
 
-def unrank_combination(rank: int, region_size: int, e: int, base: int) -> list:
-    """rank-th (0-based) lexicographic e-combination of [base, base+region_size)."""
-    c = []
-    prev = -1
-    for slot in range(e):
-        x = prev + 1
-        while True:
-            block = math.comb(region_size - 1 - x, e - 1 - slot)
-            if rank < block:
-                break
-            rank -= block
-            x += 1
-        c.append(base + x)
-        prev = x
-    return c
+def _tally(groups, e_max: int) -> list:
+    """counts[w][s]: ways to take at most one (syndrome, weight) option per
+    group with the weights summing to w and the syndromes XORing to s."""
+    counts = [collections.Counter({0: 1})] + [collections.Counter() for _ in range(e_max)]
+    for options in groups:
+        grown = [row.copy() for row in counts]
+        for w, row in enumerate(counts):
+            for s, ways in row.items():
+                for syndrome, weight in options:
+                    if w + weight <= e_max:
+                        grown[w + weight][s ^ syndrome] += ways
+        counts = grown
+    return counts
 
 
-def _run_chunk(args):
-    tables, e, c0, count, hi, mirror, diff_field = args
-    return _kernel.sweep_chunk(
-        tables["full_o"], tables["full_i"],
-        tables["inv_flip_o"], tables["inv_flip_i"], tables["dtab"],
-        tables["m"], tables["k"], e, c0, count, hi, mirror, diff_field,
-        tables["profile"],
-    )
+@functools.lru_cache(maxsize=None)
+def _repairs(cfg: OverlapConfig) -> tuple:
+    """repairs[w][c]: syndromes s with |F(s)| = w and s ^ S(F(s)) = c, where
+    F(s) are the data flips of decision_table(cfg)[s].  Read-only."""
+    contrib = syndrome_contributions(cfg)
+    repairs = (collections.Counter(), collections.Counter(), collections.Counter())
+    for s, action in enumerate(decision_table(cfg)):
+        flips = action.positions if action else ()
+        repairs[len(flips)][functools.reduce(operator.xor, (contrib[p] for p in flips), s)] += 1
+    return repairs
+
+
+def _meet(tally, check_part, e: int) -> int:
+    """Pairs of a part counted in tally[w][s] and a check part of weight e - w
+    with the same syndrome s: the sum of tally[w][s] * check_part[e - w][s]."""
+    return sum(ways * tally[w][s] for w in range(min(e + 1, len(tally)))
+               for s, ways in check_part[e - w].items())
 
 
 def sweep(cfg: OverlapConfig, region: Region, e_min: int, e_max: int,
           payload=None, injector: str = "mirror", workers: int = 1) -> list:
-    """Exhaustive sweeps for every weight in [e_min, e_max].
+    """Exact outcome counts of every error pattern for each weight in [e_min, e_max].
 
     payload defaults to all-zero data.  injector is 'mirror' (reproduces the
-    reference tables; default) or 'flip' (plain XOR).  workers > 1 splits
-    each weight's pattern stream by index range and runs the chunks of every
-    weight in one process pool; counters merge by summation, so results are
-    identical for any worker count.
+    reference tables; default) or 'flip' (plain XOR); workers is ignored.
+    A pattern is a data part d plus a check part c, and the decoder sees
+    s = S(d) ^ S'(c), S' keeping the check flips that land: it is undetected
+    iff S'(c) = S(d), and corrected iff d = F(s), i.e. S'(c) = s ^ S(F(s)).
     """
     if injector not in ("mirror", "flip"):
         raise ValueError(f"injector must be 'mirror' or 'flip', got {injector!r}")
@@ -243,36 +236,28 @@ def sweep(cfg: OverlapConfig, region: Region, e_min: int, e_max: int,
     if not 0 <= e_min <= e_max <= size:
         raise ValueError(f"need 0 <= e_min <= e_max <= {size} for {region.value}")
     data = (0,) * cfg.m if payload is None else as_bits(payload, cfg.m)
-    cs = encode(cfg, data)
-    mirror = 1 if injector == "mirror" else 0
-    diff_field = payload_diff_field(cfg, cs) if mirror else 0
-    tables = build_sweep_tables(cfg)
-    base, hi = region.bounds(cfg.m, cfg.n)
-
-    weights = range(e_min, e_max + 1)
-    jobs = []
-    for e in weights:
-        total = math.comb(size, e)
-        chunk = -(-total // max(1, min(workers, total)))
-        for start in range(0, total, chunk):
-            count = min(chunk, total - start)
-            c0 = unrank_combination(start, size, e, base)
-            jobs.append((tables, e, c0, count, hi, mirror, diff_field))
-    if workers > 1 and len(jobs) > len(weights):
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_chunk, jobs))
-    else:
-        results = [_run_chunk(j) for j in jobs]
-
-    corrected = dict.fromkeys(weights, 0)
-    detected = dict.fromkeys(weights, 0)
-    for (_tables, e, *_rest), (c, d) in zip(jobs, results):
-        corrected[e] += c
-        detected[e] += d
-    return [SweepReport(code=cfg.name, region=region, errors=e,
-                        decodings=math.comb(size, e), corrected=corrected[e],
-                        detected=detected[e])
-            for e in weights]
+    mirror = injector == "mirror"
+    diff_field = payload_diff_field(cfg, encode(cfg, data)) if mirror else 0
+    contrib = syndrome_contributions(cfg)
+    lo, hi = region.bounds(cfg.m, cfg.n)
+    checks = []
+    if hi > cfg.m:
+        checks = [((contrib[cfg.po_pos], 1),), ((contrib[cfg.pi_pos], 1),)]
+        for j in range(cfg.k):
+            # A mirrored ci_j flip stores NOT co_j: it lands alone when the
+            # clean co_j equals ci_j, and with a co_j flip when they differ.
+            differ = diff_field >> j & 1
+            co, ci = contrib[cfg.co_start + j], contrib[cfg.ci_start + j]
+            checks.append(((co, 1), (0 if mirror and differ else ci, 1),
+                           (co if mirror and not differ else co ^ ci, 2)))
+    check_part = _tally(checks, e_max)
+    data_part = _tally([((contrib[p], 1),) for p in range(lo, min(hi, cfg.m))], e_max)
+    # F(s) holds data bits only: a region without them repairs with F(s) empty
+    repairs = _repairs(cfg) if lo < cfg.m else _repairs(cfg)[:1]
+    return [SweepReport(code=cfg.name, region=region, errors=e, decodings=math.comb(size, e),
+                        corrected=_meet(repairs, check_part, e),
+                        detected=math.comb(size, e) - _meet(data_part, check_part, e))
+            for e in range(e_min, e_max + 1)]
 
 
 def sweep_python_reference(cfg: OverlapConfig, region: Region, e: int,
@@ -281,7 +266,7 @@ def sweep_python_reference(cfg: OverlapConfig, region: Region, e: int,
 
     Applies each pattern with apply_pattern semantics (plus the mirror
     adjustment when asked), runs decode(), and compares data.  Used by tests
-    to validate the integer kernel; unusable for large sweeps.
+    to validate sweep(); unusable for large sweeps.
     """
     data = (0,) * cfg.m if payload is None else as_bits(payload, cfg.m)
     clean = encode(cfg, data)

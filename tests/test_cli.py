@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +94,9 @@ def test_sweep_all_runs_the_full_matrix(capsys):
     assert code == 0
     assert len(rows) == 68  # 72 cells minus the four infeasible 2x2 data rows
     assert sum("warning" in line for line in err.splitlines()) == 1
+    # the golden report: every count of the paper's table
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "f439648241b7d67b3d8239fc68107b71a919c3f3c6cd9fdce20bd66695c8696f"
 
 
 def test_sweep_json_format(capsys):
@@ -166,6 +171,44 @@ def test_verify_collision_exits_2(capsys, tmp_path):
     assert code == 2
     assert "collision" in out
     assert "share key" in out
+
+
+def test_verify_file_reads_search_output(capsys, tmp_path):
+    code, out, _ = run(capsys, "search", "--m", "9", "--k", "5")
+    assert code == 0
+    doc = json.loads(out)
+    with_k = tmp_path / "with_k.json"
+    with_k.write_text(out)
+    without_k = tmp_path / "without_k.json"
+    without_k.write_text(json.dumps({"outer": doc["outer"], "inner": doc["inner"]}))
+    for path in (with_k, without_k):
+        code, out, _ = run(capsys, "verify-maps", "--file", str(path))
+        assert code == 0
+        assert out.startswith("ok:") and "36 unique composite keys" in out
+
+
+@pytest.mark.parametrize("text", [
+    '{"outer": [1, 2, 4, 8], "inner": [8, 1, 2, 4]}',  # powers of two
+    '{"outer": [3, 5, 6], "inner": [5, 6, 3], "k": 2}',  # k too small
+    '{"outer": [3, 5, 6], "inner": [5, 6, 3], "k": 99}',
+    '{"outer": [3, 5, 1099511627776], "inner": [5, 6, 3]}',  # needs k = 41
+    '{"outer": [3, 5, 6], "inner": [5, 6, 3], "k": "4"}',
+    '{"outer": [3, 5, 6]}',
+    '{"outer": [3, 5, "6"], "inner": [5, 6, 3]}',
+    '{"outer": [3, 5, 6.0], "inner": [5, 6, 3]}',
+    '{"outer": [3, 5, 6], "inner": 7}',
+    '{"outer": [], "inner": []}',
+    '{"outer": [3, 5, 6], "inner": [5, 6]}',
+    '[3, 5, 6]',
+    'not json',
+])
+def test_verify_file_rejects_malformed_maps(capsys, tmp_path, text):
+    path = tmp_path / "maps.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify-maps", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_requires_exactly_one_source(capsys):
@@ -246,9 +289,13 @@ def test_repeated_runs_are_byte_identical(capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the package under test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "overlap_ecc.cli", "scalability", "--max", "3"],
         capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "size,N,ecc,check_bits,total_bits,rc"

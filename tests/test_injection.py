@@ -1,4 +1,4 @@
-"""Exhaustive sweep engine: kernels, partitioning, injector semantics."""
+"""Sweep engine: exact counts against enumeration, injector semantics."""
 
 import itertools
 import math
@@ -6,16 +6,18 @@ import random
 
 import pytest
 
+from overlap_ecc import _sweep_py
 from overlap_ecc.code import BUILTIN_NAMES, Codestruct, builtin_config, decode, encode
 from overlap_ecc.injection import (
     Region,
     apply_pattern,
+    build_sweep_tables,
     enumerate_patterns,
+    payload_diff_field,
     reports_to_csv,
     reports_to_json_obj,
     sweep,
     sweep_python_reference,
-    unrank_combination,
 )
 from overlap_ecc.search import search_assignment
 
@@ -45,13 +47,6 @@ def test_enumerate_patterns_is_lexicographic_and_complete():
         list(enumerate_patterns(4, 5))
 
 
-def test_unrank_matches_enumeration():
-    size, e, base = 9, 4, 3
-    expected = [tuple(base + p for p in pat) for pat in enumerate_patterns(size, e)]
-    got = [tuple(unrank_combination(r, size, e, base)) for r in range(len(expected))]
-    assert got == expected
-
-
 def test_apply_pattern_flips_region_relative():
     cfg = builtin_config("2x2")
     clean = encode(cfg, (1, 0, 1, 0))
@@ -62,7 +57,7 @@ def test_apply_pattern_flips_region_relative():
         apply_pattern(clean, (9,), Region.DATA)
 
 
-# --- kernel equivalence ----------------------------------------------------
+# --- counting against enumeration ------------------------------------------
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 @pytest.mark.parametrize("injector", ["mirror", "flip"])
@@ -80,8 +75,36 @@ def test_pure_kernel_matches_object_decoder(name, injector):
             assert r.decodings == ref.decodings
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_counting_matches_enumeration_kernel(name):
+    # sweep() counts; sweep_chunk decodes every pattern one by one
+    cfg = builtin_config(name)
+    tables = build_sweep_tables(cfg)
+    rng = random.Random(3)
+    while True:
+        payload = tuple(rng.randrange(2) for _ in range(cfg.m))
+        diff = payload_diff_field(cfg, encode(cfg, payload))
+        if 0 < diff < (1 << cfg.k) - 1:  # both mirror cases occur
+            break
+    for injector in ("mirror", "flip"):
+        mirror = int(injector == "mirror")
+        for region in Region:
+            size = region.size(cfg.m, cfg.n)
+            lo, hi = region.bounds(cfg.m, cfg.n)
+            e_max = 4 if region is Region.CODESTRUCT and name != "2x2" else size
+            for r in sweep(cfg, region, 0, e_max, payload=payload, injector=injector):
+                e = r.errors
+                want = _sweep_py.sweep_chunk(
+                    tables["full_o"], tables["full_i"], tables["inv_flip_o"],
+                    tables["inv_flip_i"], tables["dtab"], tables["m"], tables["k"],
+                    e, list(range(lo, lo + e)), math.comb(size, e), hi, mirror,
+                    diff * mirror, tables["profile"])
+                assert (r.decodings, r.corrected, r.detected) == \
+                       (math.comb(size, e), *want), (injector, region, e)
+
+
 def test_kernels_cover_double_first_profile():
-    # 4x4 ships the up-front pair probe; make sure the kernel shares it
+    # 4x4 ships the up-front pair probe; make sure sweep() shares it
     cfg = builtin_config("4x4")
     ref = sweep_python_reference(cfg, Region.CODESTRUCT, 3)
     via_pure = sweep(cfg, Region.CODESTRUCT, 3, 3)[0]

@@ -1,10 +1,13 @@
 """Reliability model: closed-form binomials against a Monte-Carlo oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from overlap_ecc.code import BUILTIN_NAMES, builtin_config
+from overlap_ecc.injection import Region, sweep
 from overlap_ecc.reliability import (
     CODE_EPSILON,
     DEFAULT_LAMBDA,
@@ -166,6 +169,14 @@ def test_curve_csv_format():
 
 
 # --- validation ----------------------------------------------------------------
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_code_epsilon_is_the_codestruct_sweep(name):
+    # the hand-copied fractions are the default sweep's correction rates
+    reports = sweep(builtin_config(name), Region.CODESTRUCT, 1, 8)
+    assert CODE_EPSILON[name] == tuple(float(Fraction(r.corrected, r.decodings))
+                                       for r in reports)
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
