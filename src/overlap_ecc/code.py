@@ -366,24 +366,25 @@ def recompute_and_syndromes(cfg: OverlapConfig, cs: Codestruct) -> SyndromeSet:
     return _syndrome_set(cfg.k, _stored_syndrome(cfg, cs))
 
 
+_action = functools.lru_cache(maxsize=None)(DecodeAction)  # one instance per distinct action
+
+
 def _ladder(cfg: OverlapConfig, pairs: Mapping, o: int, i: int) -> DecodeAction:
     """The decode ladder for one nonzero packed syndrome; see decode()."""
     ear_o = o >> 1
     ear_i = i >> 1
     if ear_o == 0 or ear_i == 0:
-        return DecodeAction("detected_only")
+        return _action("detected_only")
     pair = pairs.get((ear_o, ear_i))
     if pair is not None and cfg.decode_profile == "double_first" and not i & 1:
-        return DecodeAction("double_pair", pair)
+        return _action("double_pair", pair)
     if o & 1:  # single error according to the outer layer
         kind, pos = "single_outer", cfg.outer.physical_of_logical[ear_o]
     elif i & 1:  # single error according to the inner layer
         kind, pos = "single_inner", cfg.inner.physical_of_logical[ear_i]
-    elif pair is not None:  # both layers report doubles
-        return DecodeAction("double_pair", pair)
-    else:
-        return DecodeAction("detected_only")
-    return DecodeAction(kind, (pos,)) if pos >= 0 else DecodeAction("detected_only")
+    else:  # both layers report doubles
+        return _action("double_pair", pair) if pair is not None else _action("detected_only")
+    return _action(kind, (pos,)) if pos >= 0 else _action("detected_only")
 
 
 @functools.lru_cache(maxsize=None)
@@ -396,12 +397,8 @@ def decision_table(cfg: OverlapConfig) -> tuple:
     k = cfg.k
     low = (1 << (k + 1)) - 1
     pairs = build_double_error_table(cfg)
-    shared = {}
-    table = [None]
-    for s in range(1, 1 << (2 * k + 2)):
-        action = _ladder(cfg, pairs, s >> (k + 1), s & low)
-        table.append(shared.setdefault(action, action))
-    return tuple(table)
+    return (None, *(_ladder(cfg, pairs, s >> (k + 1), s & low)
+                    for s in range(1, 1 << (2 * k + 2))))
 
 
 def decode(cfg: OverlapConfig, cs: Codestruct) -> DecodeOutcome:

@@ -23,8 +23,7 @@ stays small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 from .code import builtin_config
 
