@@ -19,11 +19,11 @@ forms), for m data bits and k check bits per layer:
 
 Two cached tables per configuration drive the codec.  Each position's
 packed syndrome contribution (syndrome_contributions) makes a word's
-syndrome one XOR fold, which encode, recompute_and_syndromes and decode
-share.  The decision table (decision_table) holds the decode ladder's
-action for every packed syndrome, so decoding is one lookup.  Check bits
-are never corrected: they are recomputable from corrected data, so only
-the data region is repaired.
+syndrome one XOR fold, which encode and decode share.  The decision
+table (decision_table) holds the decode ladder's action for every packed
+syndrome, so decoding is one lookup.  Check bits are never corrected:
+they are recomputable from corrected data, so only the data region is
+repaired.
 """
 
 from __future__ import annotations
@@ -101,9 +101,13 @@ class OverlapConfig:
     ``"single_first"`` (default) tries the per-layer single-error fixes
     before the composite pair table, ``"double_first"`` probes the pair
     table up front whenever the inner parity syndrome is clean and falls
-    back to the single-error branches on a miss.  The profiles behave
-    identically for up to two errors; they differ in which 3+-error
-    patterns happen to alias onto correctable signatures.
+    back to the single-error branches on a miss.  The profiles agree on
+    every pattern of up to two errors only on a map that keeps low-weight
+    check-bit patterns off the pair keys, as the 4x4 builtin's does
+    (constraint (a) in the builtins comment); on the 2x2 and 3x3 maps
+    ``double_first`` miscorrects some doubles of a data bit plus an inner
+    check or parity bit.  Beyond that, the profiles differ in which
+    3+-error patterns alias onto correctable signatures.
     """
 
     name: str
@@ -220,32 +224,6 @@ class Codestruct:
             "pi": str(self.pi),
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "Codestruct":
-        data = as_bits(obj["data"])
-        co = as_bits(obj["co"])
-        ci = as_bits(obj["ci"], len(co))
-        (po,) = as_bits(obj["po"], 1)
-        (pi,) = as_bits(obj["pi"], 1)
-        return cls(data=data, co=co, po=po, ci=ci, pi=pi)
-
-
-@dataclass(frozen=True)
-class SyndromeSet:
-    """Raw syndromes of both layers plus the derived flags the decoder uses."""
-
-    s_co: BitVec
-    s_po: int
-    s_ci: BitVec
-    s_pi: int
-    ear_outer: int  # outer error address: s_co[j] weighted 2**(k-1-j)
-    ear_inner: int
-
-    @property
-    def detected(self) -> bool:
-        """OR over every syndrome bit, evaluated before any correction."""
-        return bool(self.ear_outer or self.ear_inner or self.s_po or self.s_pi)
-
 
 @dataclass(frozen=True)
 class DecodeAction:
@@ -260,8 +238,6 @@ class DecodeOutcome:
     data: BitVec
     detected: bool
     action: DecodeAction | None
-    codestruct: Codestruct
-    syndromes: SyndromeSet
 
 
 @functools.lru_cache(maxsize=None)
@@ -342,28 +318,14 @@ def encode(cfg: OverlapConfig, data) -> Codestruct:
 
 
 def _stored_syndrome(cfg: OverlapConfig, cs: Codestruct) -> int:
+    """Packed syndrome of a stored word.
+
+    Each parity covers its layer's *stored* (not recomputed) check bits, so
+    a lone check-bit flip shows up in both the address and the parity.
+    """
     if len(cs.data) != cfg.m or len(cs.co) != cfg.k or len(cs.ci) != cfg.k:
         raise ValueError("codestruct does not match config geometry")
     return _packed_syndrome(syndrome_contributions(cfg), cs.bits())
-
-
-def _syndrome_set(k: int, s: int) -> SyndromeSet:
-    o = s >> (k + 1)
-    i = s & ((1 << (k + 1)) - 1)
-    return SyndromeSet(s_co=_address_bits(o >> 1, k), s_po=o & 1,
-                       s_ci=_address_bits(i >> 1, k), s_pi=i & 1,
-                       ear_outer=o >> 1, ear_inner=i >> 1)
-
-
-def recompute_and_syndromes(cfg: OverlapConfig, cs: Codestruct) -> SyndromeSet:
-    """Syndromes of a stored codestruct.
-
-    Check syndromes compare stored check bits against checks recomputed from
-    stored data.  Parity syndromes compare the stored parity against a parity
-    recomputed from stored data XOR *stored* (not recomputed) check bits, so
-    a lone check-bit flip shows up in both the address and the parity.
-    """
-    return _syndrome_set(cfg.k, _stored_syndrome(cfg, cs))
 
 
 _action = functools.lru_cache(maxsize=None)(DecodeAction)  # one instance per distinct action
@@ -420,10 +382,15 @@ def decode(cfg: OverlapConfig, cs: Codestruct) -> DecodeOutcome:
     With ``double_first`` (used by the 4x4 builtin) the pair table is probed
     *before* steps 2-3 whenever both addresses are nonzero and the inner
     parity syndrome is even; a table miss falls through to the single-error
-    branches instead of stopping.  Both profiles agree on every <=2-error
-    pattern; the reordering only changes which higher-weight patterns alias
-    onto a correctable signature (notably, a data pair plus the outer parity
-    bit still presents the pair's exact composite key and is repaired).
+    branches instead of stopping.  On the 4x4 map the two profiles agree on
+    every <=2-error pattern, because that map keeps low-weight check-bit
+    patterns off the pair table's keys (constraint (a) in the builtins
+    comment); there the reordering only changes which higher-weight patterns
+    alias onto a correctable signature (notably, a data pair plus the outer
+    parity bit still presents the pair's exact composite key and is
+    repaired).  On the 2x2 and 3x3 maps ``double_first`` miscorrects some
+    doubles made of a data bit and an inner check or parity bit, which is
+    why they ship ``single_first``.
 
     Check bits are never corrected.  ``detected`` is the OR of all syndrome
     bits, evaluated before correction.
@@ -431,9 +398,7 @@ def decode(cfg: OverlapConfig, cs: Codestruct) -> DecodeOutcome:
     s = _stored_syndrome(cfg, cs)
     action = decision_table(cfg)[s]
     data = _flip(cs.data, action.positions) if action else cs.data
-    fixed = Codestruct(data=data, co=cs.co, po=cs.po, ci=cs.ci, pi=cs.pi)
-    return DecodeOutcome(data=data, detected=s != 0, action=action,
-                         codestruct=fixed, syndromes=_syndrome_set(cfg.k, s))
+    return DecodeOutcome(data=data, detected=s != 0, action=action)
 
 
 def _flip(bits: BitVec, positions: Iterable[int]) -> BitVec:

@@ -22,7 +22,6 @@ from .hamming import min_check_bits
 
 OVERLAPPED = "overlapped"
 BASELINE_ORDER = ("Matrix", "PBD", "CLC")
-ECC_ORDER = (OVERLAPPED,) + BASELINE_ORDER
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class ComparisonRow:
     """All ECC costs for one square size, with the cheapest flagged."""
 
     size: str
-    rows: tuple                 # CostRow per available ecc, ECC_ORDER order
+    rows: tuple                 # CostRow per available ecc: overlapped, then BASELINE_ORDER
     cheapest: tuple             # ecc labels attaining the minimum rc
     baselines_available: bool
 

@@ -15,7 +15,6 @@ knob while keeping runs reproducible.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -89,12 +88,6 @@ class SearchResult:
             name=name, rows=rows, cols=cols,
             outer=AddressAssignment.from_logical(self.outer, self.k),
             inner=AddressAssignment.from_logical(self.inner, self.k),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"m": self.m, "k": self.k, "outer": list(self.outer), "inner": list(self.inner)},
-            indent=2,
         )
 
 

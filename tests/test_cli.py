@@ -51,11 +51,25 @@ def test_decode_round_trip_with_double_error(capsys):
     broken = "".join(f"{int(''.join(bits[i:i+4]).ljust(4, '0'), 2):x}"
                      for i in range(0, len(bits), 4))
     code2, out2, _ = run(capsys, "decode", "--code", "4x4", "--hex", broken)
-    doc = json.loads(out2)
     assert code2 == 0
-    assert doc["detected"] is True
-    assert doc["action"] == "double_pair"
-    assert doc["data"] == word["data"]
+    assert out2 == _decode_report("4x4", "double_pair", [2, 9], word["data"])
+
+    # one check-bit error (co[1]) on the same word: detected, data untouched
+    assert word["hex"] == "ca5e120"
+    code3, out3, _ = run(capsys, "decode", "--code", "4x4", "--hex", "ca5e520")
+    assert code3 == 0
+    assert out3 == _decode_report("4x4", "detected_only", [], word["data"])
+
+
+def _decode_report(name, action, flipped, data):
+    return json.dumps({
+        "schema": "overlap-ecc/decode/1",
+        "code": name,
+        "detected": True,
+        "action": action,
+        "flipped_positions": flipped,
+        "data": data,
+    }, indent=2) + "\n"
 
 
 def test_decode_rejects_bad_hex(capsys):

@@ -17,9 +17,9 @@ from overlap_ecc.code import (
     builtin_config,
     decode,
     encode,
-    recompute_and_syndromes,
+    syndrome_contributions,
 )
-from overlap_ecc.injection import build_sweep_tables
+from overlap_ecc.injection import Region, build_sweep_tables, sweep
 
 
 def flip(cs: Codestruct, cfg: OverlapConfig, *positions) -> Codestruct:
@@ -27,6 +27,14 @@ def flip(cs: Codestruct, cfg: OverlapConfig, *positions) -> Codestruct:
     for p in positions:
         bits[p] ^= 1
     return Codestruct.from_bits(bits, cfg.m, cfg.k)
+
+
+def packed_syndrome(cfg: OverlapConfig, positions) -> int:
+    """Packed syndrome (outer << (k+1)) | inner of a flip pattern."""
+    s = 0
+    for p in positions:
+        s ^= syndrome_contributions(cfg)[p]
+    return s
 
 
 # --- encoding --------------------------------------------------------------
@@ -67,11 +75,11 @@ def test_check_equations_match_addresses():
 
 def test_single_data_flip_reads_both_addresses():
     cfg = builtin_config("3x3")
-    cs = flip(encode(cfg, (0,) * 9), cfg, 4)  # position D4
-    syn = recompute_and_syndromes(cfg, cs)
-    assert syn.ear_outer == cfg.outer.logical_of_physical[4] == 12
-    assert syn.ear_inner == cfg.inner.logical_of_physical[4] == 10
-    assert syn.s_po == 1 and syn.s_pi == 1
+    s = packed_syndrome(cfg, [4])  # position D4
+    outer, inner = s >> (cfg.k + 1), s & ((1 << (cfg.k + 1)) - 1)
+    assert outer >> 1 == cfg.outer.logical_of_physical[4] == 12
+    assert inner >> 1 == cfg.inner.logical_of_physical[4] == 10
+    assert outer & 1 == 1 and inner & 1 == 1  # both parities odd
 
 
 def test_double_table_worked_entries():
@@ -129,12 +137,6 @@ def test_decode_parity_plus_data_is_single():
     assert out.data == clean.data
 
 
-def _packed(cfg: OverlapConfig, syn) -> int:
-    outer = (syn.ear_outer << 1) | syn.s_po
-    inner = (syn.ear_inner << 1) | syn.s_pi
-    return (outer << (cfg.k + 1)) | inner
-
-
 def _reference_tally(cfg: OverlapConfig, tables: dict, pattern: list) -> tuple:
     """(corrected, detected) of the sweep kernel's ladder on one flip pattern."""
     return _sweep_py.sweep_chunk(
@@ -157,7 +159,7 @@ def test_decision_table_matches_reference_ladder(name):
     for mask in range(1 << len(checks)):
         pattern = [p for b, p in enumerate(checks) if mask >> b & 1]
         out = decode(cfg, flip(clean, cfg, *pattern))
-        pattern_of[_packed(cfg, out.syndromes)] = pattern
+        pattern_of[packed_syndrome(cfg, pattern)] = pattern
         assert _reference_tally(cfg, tables, pattern) == \
             (int(out.data == clean.data), int(out.detected))
     assert len(pattern_of) == 1 << len(checks)
@@ -167,8 +169,7 @@ def test_decision_table_matches_reference_ladder(name):
         if action is None or not action.positions:
             continue
         data_flips = list(action.positions)
-        s_data = _packed(cfg, recompute_and_syndromes(cfg, flip(clean, cfg, *data_flips)))
-        word = sorted(data_flips + pattern_of[s ^ s_data])
+        word = sorted(data_flips + pattern_of[s ^ packed_syndrome(cfg, data_flips)])
         out = decode(cfg, flip(clean, cfg, *word))
         assert out.action is action and out.data == clean.data
         assert _reference_tally(cfg, tables, word) == (1, 1)
@@ -208,6 +209,13 @@ def test_profiles_agree_up_to_two_errors():
         b = decode(double, cs)
         assert a.data == b.data
         assert a.detected == b.detected
+    # The agreement comes from the 4x4 map, not from the ladder: under
+    # double_first, 9 of the 3x3 map's 171 codestruct doubles (a data bit
+    # plus an inner check or parity bit) hit a pair key and are miscorrected,
+    # which is why 2x2 and 3x3 ship single_first.
+    (report,) = sweep(_with_profile(builtin_config("3x3"), "double_first"),
+                      Region.CODESTRUCT, 2, 2)
+    assert (report.decodings, report.corrected, report.detected) == (171, 162, 171)
 
 
 def test_double_first_repairs_pair_plus_outer_parity():
@@ -254,7 +262,6 @@ def test_serialization_round_trips(name, data):
                                        max_size=cfg.m)))
     cs = encode(cfg, payload)
     assert Codestruct.from_hex(cs.to_hex(), cfg.m, cfg.k) == cs
-    assert Codestruct.from_json_dict(cs.to_json_dict()) == cs
     assert Codestruct.from_bits(cs.bits(), cfg.m, cfg.k) == cs
 
 
