@@ -6,7 +6,9 @@ for file reports.  Reports are deterministic for fixed arguments, byte for
 byte, which the manifest checksums make easy to verify.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure (verify-maps
-found colliding composite keys), 3 assignment search exhausted.
+found colliding composite keys), 3 assignment search exhausted.  Commands
+reject input only through click (option types, ``click.UsageError``) or a
+library ``ValueError``; ``main`` alone turns either into ``error: ...``.
 """
 
 from __future__ import annotations
@@ -36,14 +38,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_NOT_FOUND = 3
-
-
-class _Fail(Exception):
-    """Carries a non-usage exit code out of a command."""
-
-    def __init__(self, code: int):
-        self.code = code
-        super().__init__(f"exit {code}")
 
 
 def _emit(ctx: click.Context, text: str, out: str | None, seed=None) -> None:
@@ -110,10 +104,7 @@ def cli():
 @click.pass_context
 def cmd_encode(ctx, name, data_str, out):
     """Encode payload bits into a codestruct (hex plus fields)."""
-    cfg = builtin_config(name)
-    if len(data_str) != cfg.m or set(data_str) - {"0", "1"}:
-        raise click.UsageError(f"--data must be {cfg.m} bits of 0/1 for {name}")
-    cs = encode_word(cfg, data_str)
+    cs = encode_word(builtin_config(name), data_str)
     doc = {"schema": "overlap-ecc/codestruct/1", "code": name,
            "hex": cs.to_hex(), **cs.to_json_dict()}
     _emit(ctx, json.dumps(doc, indent=2) + "\n", out)
@@ -127,11 +118,7 @@ def cmd_encode(ctx, name, data_str, out):
 def cmd_decode(ctx, name, hex_str, out):
     """Decode a stored codestruct, reporting the repair taken."""
     cfg = builtin_config(name)
-    try:
-        cs = Codestruct.from_hex(hex_str, cfg.m, cfg.k)
-    except ValueError as e:
-        raise click.UsageError(str(e)) from None
-    res = decode_word(cfg, cs)
+    res = decode_word(cfg, Codestruct.from_hex(hex_str, cfg.m, cfg.k))
     doc = {
         "schema": "overlap-ecc/decode/1",
         "code": name,
@@ -167,12 +154,7 @@ def cmd_sweep(ctx, name, region_str, errors_spec, fmt, workers, injector, run_al
     else:
         if name is None:
             raise click.UsageError("pass --code or --all")
-        try:
-            region = Region.parse(region_str)
-        except ValueError as e:
-            raise click.UsageError(str(e)) from None
-        e_min, e_max = _parse_error_range(errors_spec)
-        cells = [(name, region, e_min, e_max)]
+        cells = [(name, Region.parse(region_str), *_parse_error_range(errors_spec))]
 
     reports = []
     for code_name, region, e_min, e_max in cells:
@@ -202,10 +184,7 @@ def cmd_sweep(ctx, name, region_str, errors_spec, fmt, workers, injector, run_al
 @click.pass_context
 def cmd_search(ctx, m, k, seed, out):
     """Search a valid (outer, inner) address assignment pair."""
-    try:
-        res = search_assignment(m, k=k, seed=seed)
-    except ValueError as e:
-        raise click.UsageError(str(e)) from None
+    res = search_assignment(m, k=k, seed=seed)
     doc = {"schema": "overlap-ecc/assignment/1", "m": res.m, "k": res.k,
            "seed": seed, "outer": list(res.outer), "inner": list(res.inner),
            "explored_states": res.explored}
@@ -241,66 +220,53 @@ def cmd_verify_maps(ctx, name, path, out):
                          f"(outer^={key[0]}, inner^={key[1]})")
     _emit(ctx, "\n".join(lines) + "\n", out)
     if not report.ok:
-        raise _Fail(EXIT_INVALID)
+        ctx.exit(EXIT_INVALID)
 
 
 @cli.command("reliability")
 @click.option("--code", "name", type=click.Choice(BUILTIN_NAMES), required=True)
-@click.option("--lambda", "lam", type=float, default=DEFAULT_LAMBDA,
-              show_default=True, help="failures per bit per day")
-@click.option("--t-max", type=float, default=20000.0, show_default=True,
+@click.option("--lambda", "lam", type=click.FloatRange(0, min_open=True),
+              default=DEFAULT_LAMBDA, show_default=True, help="failures per bit per day")
+@click.option("--t-max", type=click.FloatRange(0), default=20000.0, show_default=True,
               help="horizon in days")
-@click.option("--step", type=float, default=1000.0, show_default=True)
+@click.option("--step", type=click.FloatRange(0, min_open=True), default=1000.0,
+              show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.pass_context
 def cmd_reliability(ctx, name, lam, t_max, step, out):
     """Reliability-over-time curve and finite-horizon MTTF."""
-    if lam <= 0:
-        raise click.UsageError("--lambda must be > 0")
-    if step <= 0:
-        raise click.UsageError("--step must be > 0")
-    if t_max < 0:
-        raise click.UsageError("--t-max must be >= 0")
     curve = reliability_curve(code_params(name, lam=lam), t_max, step)
     _emit(ctx, curve_to_csv(curve), out)
 
 
 @cli.command("scalability")
-@click.option("--max", "max_side", type=int, default=7, show_default=True,
-              help="largest square side to cost")
+@click.option("--max", "max_side", type=click.IntRange(min=2), default=7,
+              show_default=True, help="largest square side to cost")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.pass_context
 def cmd_scalability(ctx, max_side, out):
     """Redundancy costs per square size, against the reference codes."""
-    if max_side < 2:
-        raise click.UsageError("--max must be >= 2")
     _emit(ctx, comparison_to_csv(compare(max_side)), out)
 
 
 def main(argv=None) -> int:
     args = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
     try:
-        cli.main(args=args, prog_name="overlap-ecc", standalone_mode=False,
-                 obj={"argv": args})
-    except click.exceptions.Exit as e:  # --help / --version
-        return int(e.exit_code)
-    except click.UsageError as e:
-        click.echo(f"error: {e.format_message()}", err=True)
-        return EXIT_USAGE
+        # without standalone mode click returns ctx.exit()'s code (--help,
+        # --version, verify-maps' EXIT_INVALID) and None on success
+        return cli.main(args=args, prog_name="overlap-ecc", standalone_mode=False,
+                        obj={"argv": args}) or EXIT_OK
     except click.ClickException as e:
-        e.show()
+        click.echo(f"error: {e.format_message()}", err=True)
         return EXIT_USAGE
     except click.Abort:
         return EXIT_USAGE
-    except _Fail as e:
-        return e.code
     except SearchNotFoundError as e:
         click.echo(f"error: {e}", err=True)
         return EXIT_NOT_FOUND
     except ValueError as e:
         click.echo(f"error: {e}", err=True)
         return EXIT_USAGE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

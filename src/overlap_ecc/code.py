@@ -33,26 +33,7 @@ import types
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .hamming import min_check_bits
-
-BitVec = tuple  # ordered 0/1 ints
-
-
-def as_bits(value, length: int | None = None) -> BitVec:
-    """Normalize a bit sequence ('0101', [0,1,0,1], ...) to a tuple of ints."""
-    if isinstance(value, str):
-        try:
-            bits = tuple(int(ch) for ch in value)
-        except ValueError:
-            raise ValueError(f"not a bit string: {value!r}") from None
-    else:
-        bits = tuple(value)
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bit values must be 0 or 1, got {b!r}")
-    if length is not None and len(bits) != length:
-        raise ValueError(f"expected {length} bits, got {len(bits)}")
-    return bits
+from .hamming import BitVec, as_bits, min_check_bits
 
 
 @dataclass(frozen=True)
@@ -190,13 +171,11 @@ class Codestruct:
         The tail is zero-padded to a nibble boundary.
         """
         bits = self.bits()
-        digits = []
-        for i in range(0, len(bits), 4):
-            nibble = 0
-            for j, b in enumerate(bits[i : i + 4]):
-                nibble |= b << (3 - j)
-            digits.append(f"{nibble:x}")
-        return "".join(digits)
+        n = len(bits)
+        value = 0
+        for b in bits:
+            value = value << 1 | b
+        return format(value << (-n % 4), f"0{(n + 3) // 4}x")
 
     @classmethod
     def from_hex(cls, text: str, m: int, k: int) -> "Codestruct":

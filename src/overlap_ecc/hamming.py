@@ -6,20 +6,34 @@ data bit whose logical address has bit 2**(k-1-j) set, so the syndrome of a
 single-bit error reads back the flipped bit's address directly.  The fixed
 Ham(7,4) codec at the bottom is small enough to verify exhaustively and
 serves as a cross-check oracle for the address conventions used everywhere
-else.
+else: the 2x2 code's outer layer gives its data bits exactly Ham(7,4)'s data
+addresses, so the two must produce the same check bits.  ``as_bits`` is the
+package's one bit-sequence validator.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
-def _check_bits(bits: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(bits)
-    for b in out:
+BitVec = tuple  # ordered 0/1 ints
+
+
+def as_bits(value, length: int | None = None) -> BitVec:
+    """Normalize a bit sequence ('0101', [0,1,0,1], ...) to a tuple of ints."""
+    if isinstance(value, str):
+        try:
+            bits = tuple(int(ch) for ch in value)
+        except ValueError:
+            raise ValueError(f"not a bit string: {value!r}") from None
+    else:
+        bits = tuple(value)
+    for b in bits:
         if b not in (0, 1):
             raise ValueError(f"bit values must be 0 or 1, got {b!r}")
-    return out
+    if length is not None and len(bits) != length:
+        raise ValueError(f"expected {length} bits, got {len(bits)}")
+    return bits
 
 
 def min_check_bits(m: int) -> int:
@@ -51,9 +65,7 @@ HAM74_ADDRESS_TO_POSITION = (-1, 6, 5, 0, 4, 1, 2, 3)
 
 def ham74_encode(data: Sequence[int]) -> tuple[int, ...]:
     """Encode 4 data bits into a Ham(7,4) codeword [d0 d1 d2 d3 c0 c1 c2]."""
-    d = _check_bits(data)
-    if len(d) != 4:
-        raise ValueError(f"ham74_encode expects 4 data bits, got {len(d)}")
+    d = as_bits(data, 4)
     c0 = d[1] ^ d[2] ^ d[3]
     c1 = d[0] ^ d[2] ^ d[3]
     c2 = d[0] ^ d[1] ^ d[3]
@@ -62,9 +74,7 @@ def ham74_encode(data: Sequence[int]) -> tuple[int, ...]:
 
 def ham74_syndrome(received: Sequence[int]) -> tuple[int, int, int]:
     """Syndrome [s0 s1 s2] of a received 7-bit word (stored XOR recomputed checks)."""
-    w = _check_bits(received)
-    if len(w) != 7:
-        raise ValueError(f"ham74_syndrome expects 7 bits, got {len(w)}")
+    w = as_bits(received, 7)
     fresh = ham74_encode(w[:4])
     return (w[4] ^ fresh[4], w[5] ^ fresh[5], w[6] ^ fresh[6])
 
@@ -76,7 +86,5 @@ def ham74_error_address(syndrome: Sequence[int]) -> int:
     so a single flipped bit yields its own address: c2=1, c1=2, d0=3, c0=4,
     d1=5, d2=6, d3=7 (see HAM74_ADDRESS_TO_POSITION).
     """
-    s = _check_bits(syndrome)
-    if len(s) != 3:
-        raise ValueError(f"ham74_error_address expects 3 syndrome bits, got {len(s)}")
+    s = as_bits(syndrome, 3)
     return (s[0] << 2) | (s[1] << 1) | s[2]

@@ -18,6 +18,17 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+# --- help / version -------------------------------------------------------------
+
+def test_help_and_version_exit_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and err == ""
+    assert "verify-maps" in out
+    code, out, err = run(capsys, "--version")
+    assert code == 0 and err == ""
+    assert out == "overlap-ecc, version 0.1.0\n"
+
+
 # --- encode / decode ---------------------------------------------------------
 
 def test_encode_worked_example(capsys):
@@ -181,10 +192,13 @@ def test_verify_collision_exits_2(capsys, tmp_path):
     bad = tmp_path / "maps.json"
     addrs = [3, 5, 6, 7, 9, 10, 11, 12, 13]
     bad.write_text(json.dumps({"outer": addrs, "inner": addrs}))
-    code, out, _ = run(capsys, "verify-maps", "--file", str(bad))
+    code, out, err = run(capsys, "verify-maps", "--file", str(bad))
     assert code == 2
     assert "collision" in out
     assert "share key" in out
+    # the report and its manifest still come out before the exit code
+    man = json.loads(err)
+    assert man["outputs"]["stdout"] == hashlib.sha256(out.encode()).hexdigest()
 
 
 def test_verify_file_reads_search_output(capsys, tmp_path):
@@ -251,8 +265,10 @@ def test_reliability_zero_horizon(capsys):
 
 
 def test_reliability_rejects_bad_rates(capsys):
-    assert run(capsys, "reliability", "--code", "2x2", "--lambda", "0")[0] == 1
-    assert run(capsys, "reliability", "--code", "2x2", "--step", "-5")[0] == 1
+    for flag, value in [("--lambda", "0"), ("--step", "-5"), ("--t-max", "-1")]:
+        code, out, err = run(capsys, "reliability", "--code", "2x2", flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: Invalid value for '{flag}'")
 
 
 def test_scalability_table(capsys):
@@ -261,7 +277,9 @@ def test_scalability_table(capsys):
     assert code == 0
     assert len(lines) == 1 + 24
     assert "5x5,25,overlapped,12,37,0.32" in lines
-    assert run(capsys, "scalability", "--max", "1")[0] == 1
+    code, out, err = run(capsys, "scalability", "--max", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: Invalid value for '--max'")
 
 
 def test_scalability_beyond_baselines(capsys):

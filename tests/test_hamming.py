@@ -2,6 +2,7 @@
 
 import pytest
 
+from overlap_ecc.code import builtin_config, encode
 from overlap_ecc.hamming import (
     HAM74_ADDRESS_TO_POSITION,
     ham74_encode,
@@ -59,3 +60,13 @@ def test_ham74_input_validation():
         ham74_syndrome([0] * 6)
     with pytest.raises(ValueError):
         ham74_error_address((1, 0))
+
+
+def test_ham74_oracle_matches_the_2x2_outer_layer():
+    # the 2x2 outer map (3, 5, 6, 7) is Ham(7,4)'s data addresses, so the
+    # codec's outer check bits co[0..2] must equal the oracle's c0..c2
+    cfg = builtin_config("2x2")
+    assert cfg.outer.logical_of_physical == (3, 5, 6, 7)
+    for value in range(16):
+        data = tuple((value >> (3 - i)) & 1 for i in range(4))
+        assert encode(cfg, data).co == ham74_encode(data)[4:]
