@@ -73,6 +73,9 @@ class AddressAssignment:
 #: decode-ladder profiles supported by :func:`decode` (see its docstring).
 DECODE_PROFILES = ("single_first", "double_first")
 
+# maps the ASCII digits of a binary numeral to the bit values 0 and 1
+_BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+
 
 @dataclass(frozen=True)
 class OverlapConfig:
@@ -156,7 +159,11 @@ class Codestruct:
 
     @classmethod
     def from_bits(cls, bits: Sequence[int], m: int, k: int) -> "Codestruct":
-        b = as_bits(bits, m + 2 * (k + 1))
+        return cls._from_layout(as_bits(bits, m + 2 * (k + 1)), m, k)
+
+    @classmethod
+    def _from_layout(cls, b: BitVec, m: int, k: int) -> "Codestruct":
+        """Split a serialized layout of checked 0/1 ints into its fields."""
         return cls(
             data=b[:m],
             co=b[m : m + k],
@@ -188,11 +195,11 @@ class Codestruct:
             value = int(text, 16)
         except ValueError:
             raise ValueError(f"not a hex string: {text!r}") from None
-        total = want_digits * 4
-        bits = tuple((value >> (total - 1 - i)) & 1 for i in range(total))
-        if any(bits[n:]):
+        pad = want_digits * 4 - n
+        if value & ((1 << pad) - 1):
             raise ValueError("padding bits past the codestruct length must be zero")
-        return cls.from_bits(bits[:n], m, k)
+        digits = format(value >> pad & ((1 << n) - 1), f"0{n}b")
+        return cls._from_layout(tuple(digits.encode().translate(_BIT_OF_DIGIT)), m, k)
 
     def to_json_dict(self) -> dict:
         return {

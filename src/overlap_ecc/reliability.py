@@ -23,6 +23,7 @@ stays small.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .code import builtin_config
@@ -79,24 +80,33 @@ def code_params(name: str, lam: float = DEFAULT_LAMBDA) -> ReliabilityParams:
     return ReliabilityParams(n=cfg.n, lam=lam, epsilon=CODE_EPSILON[name])
 
 
-def p_i_errors(n: int, i: int, lam: float, t: float) -> float:
-    """P(exactly i of n bits flipped by day t) = C(n,i) p^i (1-p)^(n-i).
+def _log_binom(n: int, i: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+
+
+def _binomial_pmf(n: int, lam: float, t: float, counts) -> list:
+    """C(n,i) p^i (1-p)^(n-i) for each (i, log C(n,i)) in counts, p = 1 - e^(-lam*t).
 
     Evaluated in log space (log-gamma binomial coefficient) so large n
     cannot overflow; 1-p is e^(-lam*t) exactly, which keeps the tail
     accurate for tiny p.
     """
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
     if t < 0:
         raise ValueError("t must be >= 0")
-    p = -math.expm1(-lam * t)
-    if p == 0.0:
-        return 1.0 if i == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if i == n else 0.0
-    log_c = math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-    return math.exp(log_c + i * math.log(p) - lam * t * (n - i))
+    lt = lam * t
+    p = -math.expm1(-lt)
+    if p == 0.0 or p == 1.0:
+        whole = 0 if p == 0.0 else n
+        return [1.0 if i == whole else 0.0 for i, _ in counts]
+    log_p = math.log(p)
+    return [math.exp(log_c + i * log_p - lt * (n - i)) for i, log_c in counts]
+
+
+def p_i_errors(n: int, i: int, lam: float, t: float) -> float:
+    """P(exactly i of n bits flipped by day t) = C(n,i) p^i (1-p)^(n-i)."""
+    if not 0 <= i <= n:
+        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
+    return _binomial_pmf(n, lam, t, [(i, _log_binom(n, i))])[0]
 
 
 def masked_probability(params: ReliabilityParams, t: float) -> float:
@@ -105,11 +115,21 @@ def masked_probability(params: ReliabilityParams, t: float) -> float:
                for i in range(1, params.sigma + 1))
 
 
+def _miss_terms(params: ReliabilityParams) -> tuple:
+    """r's t-independent part: each modelled (i, log C(n,i)), and 1 - epsilon_i."""
+    counts = [(i, _log_binom(params.n, i)) for i in range(1, params.sigma + 1)]
+    return counts, [1.0 - e for e in params.epsilon]
+
+
+def _reliability(params: ReliabilityParams, terms: tuple, t: float) -> float:
+    counts, misses = terms
+    miss = sum(map(operator.mul, _binomial_pmf(params.n, params.lam, t, counts), misses))
+    return min(1.0, max(0.0, 1.0 - miss))
+
+
 def reliability_at(params: ReliabilityParams, t: float) -> float:
     """P(a reading at day t is usable), per the finite-window model above."""
-    miss = sum(p_i_errors(params.n, i, params.lam, t) * (1.0 - params.epsilon[i - 1])
-               for i in range(1, params.sigma + 1))
-    return min(1.0, max(0.0, 1.0 - miss))
+    return _reliability(params, _miss_terms(params), t)
 
 
 @dataclass(frozen=True)
@@ -139,7 +159,8 @@ def reliability_curve(params: ReliabilityParams, t_max: float,
     ts = [0.0]
     while ts[-1] < t_max:
         ts.append(min(ts[-1] + step, t_max))
-    samples = tuple((t, reliability_at(params, t)) for t in ts)
+    terms = _miss_terms(params)
+    samples = tuple((t, _reliability(params, terms, t)) for t in ts)
     mttf = 0.0
     for (t0, r0), (t1, r1) in zip(samples, samples[1:]):
         mttf += (r0 + r1) * (t1 - t0) / 2.0

@@ -7,10 +7,17 @@ outer layer is fixed to the lexicographically smallest choice (the data
 addresses in ascending order) and the inner layer is found by backtracking,
 pruning any partial assignment that repeats a composite key.
 
+Inner address c at position pos adds the keys (lo(p) XOR lo(pos),
+li(p) XOR c) for p < pos.  Outer addresses are distinct, so these keys have
+distinct outer halves and can only collide with keys already placed.  Placed
+keys are filed by outer half; once per node the search gathers every c that
+would repeat one into a forbidden set, so each candidate costs one lookup.
+
 The search is deterministic for a given seed.  Seed 0 tries candidate
 addresses in ascending order at every step; any other seed shuffles the
-candidate order per step with a seeded RNG, giving a cheap randomized-restart
-knob while keeping runs reproducible.
+candidate order per step with a seeded RNG.  `explored` counts every unused
+candidate examined, pruned or not; the `search` report prints it, so it is
+part of that report's golden bytes.
 """
 
 from __future__ import annotations
@@ -95,9 +102,8 @@ def search_assignment(m: int, k: int | None = None, seed: int = 0) -> SearchResu
     """Find a valid (outer, inner) assignment pair for m data bits.
 
     The outer layer takes the m smallest usable addresses in ascending
-    order.  The inner layer is built position by position over the same
-    address set; a partial choice is pruned as soon as two data pairs share
-    a composite key.  Raises SearchNotFoundError (with the number of partial
+    order; the inner layer is built position by position over the same
+    address set.  Raises SearchNotFoundError (with the number of partial
     states explored) if the tree is exhausted.
     """
     if m < 2:
@@ -111,12 +117,11 @@ def search_assignment(m: int, k: int | None = None, seed: int = 0) -> SearchResu
     outer = pool[:m]
     rng = random.Random(seed) if seed else None
 
-    # outer XOR of every data pair, fixed once
-    okey = [[outer[a] ^ outer[b] for b in range(m)] for a in range(m)]
-
+    # placed pairs' inner XORs by outer XOR; slots[pos][p] is pair (p, pos)'s list
+    by_outer = [[] for _ in range(1 << k)]
+    slots = [[by_outer[outer[p] ^ outer[pos]] for p in range(pos)] for pos in range(m)]
     inner = [-1] * m
     used = [False] * len(pool)
-    seen_keys: set = set()
     explored = 0
 
     def extend(pos: int) -> bool:
@@ -126,29 +131,24 @@ def search_assignment(m: int, k: int | None = None, seed: int = 0) -> SearchResu
         order = list(range(len(pool)))
         if rng is not None:
             rng.shuffle(order)
+        row = slots[pos]
+        forbidden = {inner[p] ^ d for p, placed in enumerate(row) for d in placed}
         for idx in order:
             if used[idx]:
                 continue
-            cand = pool[idx]
-            new_keys = []
-            ok = True
-            for prev in range(pos):
-                key = (okey[prev][pos], inner[prev] ^ cand)
-                if key in seen_keys or key in new_keys:
-                    ok = False
-                    break
-                new_keys.append(key)
             explored += 1
-            if not ok:
+            cand = pool[idx]
+            if cand in forbidden:
                 continue
             inner[pos] = cand
             used[idx] = True
-            seen_keys.update(new_keys)
+            for p, placed in enumerate(row):
+                placed.append(inner[p] ^ cand)
             if extend(pos + 1):
                 return True
-            inner[pos] = -1
+            for placed in row:
+                placed.pop()
             used[idx] = False
-            seen_keys.difference_update(new_keys)
         return False
 
     if not extend(0):

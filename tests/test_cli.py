@@ -164,6 +164,13 @@ def test_search_emits_valid_assignment(capsys):
     assert validate_assignment(doc["outer"], doc["inner"]).ok
 
 
+def test_search_report_is_golden(capsys):
+    code, out, _ = run(capsys, "search", "--m", "23", "--k", "5", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "9ef14d145061ab83649702b8815f0b25e3c0de8fb5b1a3d05e13b3f4d059fa0f"
+
+
 def test_search_not_found_exits_3(capsys, monkeypatch):
     from overlap_ecc.search import SearchNotFoundError
 

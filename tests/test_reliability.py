@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from reference import reliability_at_reference
 
 from overlap_ecc.code import BUILTIN_NAMES, builtin_config
 from overlap_ecc.injection import Region, sweep
@@ -158,6 +159,17 @@ def test_curve_zero_horizon():
     curve = reliability_curve(code_params("3x3"), 0, 1000)
     assert curve.samples == ((0.0, 1.0),)
     assert curve.mttf == 0.0
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_curve_samples_match_the_reference_formula_exactly(name):
+    # lam * t reaches 200 at lam = 1e-2, where p rounds to 1.0; t = 0 gives p = 0.0
+    for lam in (1e-7, 1e-5, 3e-5, 1e-4, 1e-3, 1e-2):
+        params = code_params(name, lam)
+        for t_max, step in ((0, 1), (100, 0.5), (20000, 1000), (3000, 7.5), (5000, 333)):
+            for t, r in reliability_curve(params, t_max, step).samples:
+                want = reliability_at_reference(params, t)
+                assert r == want == reliability_at(params, t), (name, lam, t_max, step, t)
 
 
 def test_curve_csv_format():

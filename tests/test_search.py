@@ -1,6 +1,7 @@
 """Address-assignment search and validation."""
 
 import pytest
+from reference import search_assignment_reference
 
 from overlap_ecc.code import BUILTIN_NAMES, builtin_config
 from overlap_ecc.search import (
@@ -61,6 +62,32 @@ def test_search_is_deterministic_per_seed():
     c = search_assignment(9, seed=8)
     assert a.inner == b.inner
     assert a.inner != c.inner or a.outer != c.outer  # overwhelmingly distinct
+
+
+def _oracle_grid():
+    """k = 3 at every m, k = 4 up to m = 11, k = 5 up to m = 18; seeds 0-3."""
+    for k, m_max in ((3, len(available_addresses(3))), (4, 11), (5, 18)):
+        for m in range(2, m_max + 1):
+            for seed in range(4):
+                yield m, k, seed
+
+
+def test_search_matches_the_reference_kernel():
+    # No small geometry exhausts the tree, so SearchNotFoundError has no case here.
+    for m, k, seed in _oracle_grid():
+        got = search_assignment(m, k, seed)
+        want = search_assignment_reference(m, k, seed)
+        assert (got.outer, got.inner, got.explored) == \
+            (want.outer, want.inner, want.explored), (m, k, seed)
+
+
+@pytest.mark.parametrize("m, k, seed, explored",
+                         [(25, 5, 1, 34693), (64, 7, 0, 51469), (70, 7, 0, 51620)])
+def test_search_explored_counts_are_pinned(m, k, seed, explored):
+    # the explored count is printed in the golden search report
+    res = search_assignment(m, k, seed)
+    assert res.explored == explored
+    assert validate_assignment(res.outer, res.inner).ok
 
 
 def test_search_respects_explicit_k():
