@@ -75,6 +75,8 @@ DECODE_PROFILES = ("single_first", "double_first")
 
 # maps the ASCII digits of a binary numeral to the bit values 0 and 1
 _BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+# int(text, 16) also takes a sign, a 0x prefix, "_" and non-ASCII digits
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 @dataclass(frozen=True)
@@ -191,10 +193,9 @@ class Codestruct:
         text = text.strip().lower()
         if len(text) != want_digits:
             raise ValueError(f"expected {want_digits} hex digits for n={n}, got {len(text)}")
-        try:
-            value = int(text, 16)
-        except ValueError:
-            raise ValueError(f"not a hex string: {text!r}") from None
+        if not _HEX_DIGITS.issuperset(text):
+            raise ValueError(f"not a hex string: {text!r}")
+        value = int(text, 16)
         pad = want_digits * 4 - n
         if value & ((1 << pad) - 1):
             raise ValueError("padding bits past the codestruct length must be zero")

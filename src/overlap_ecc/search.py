@@ -8,10 +8,15 @@ addresses in ascending order) and the inner layer is found by backtracking,
 pruning any partial assignment that repeats a composite key.
 
 Inner address c at position pos adds the keys (lo(p) XOR lo(pos),
-li(p) XOR c) for p < pos.  Outer addresses are distinct, so these keys have
-distinct outer halves and can only collide with keys already placed.  Placed
-keys are filed by outer half; once per node the search gathers every c that
-would repeat one into a forbidden set, so each candidate costs one lookup.
+li(p) XOR c) for p < pos.  Their outer halves are distinct, so they can only
+collide with a placed key (lo(a) XOR lo(b), li(a) XOR li(b)): exactly when
+c = li(p) XOR li(a) XOR li(b) and lo(p) XOR lo(a) XOR lo(b) = lo(pos), with p,
+a, b distinct.  So c is forbidden at pos when it is li(x) XOR li(y) XOR li(z)
+for a triple x < y < z < pos whose outer XOR is lo(pos).  The triples of each
+pos are listed once per search, split into those with z < pos - 1 and the
+pairs (x, y) completed by z = pos - 1.  Neither part reads li(pos - 1), so a
+node builds its children's two sets once, shared by every child: c is
+forbidden when it is in the first or c XOR li(pos - 1) is in the second.
 
 The search is deterministic for a given seed.  Seed 0 tries candidate
 addresses in ascending order at every step; any other seed shuffles the
@@ -117,40 +122,50 @@ def search_assignment(m: int, k: int | None = None, seed: int = 0) -> SearchResu
     outer = pool[:m]
     rng = random.Random(seed) if seed else None
 
-    # placed pairs' inner XORs by outer XOR; slots[pos][p] is pair (p, pos)'s list
-    by_outer = [[] for _ in range(1 << k)]
-    slots = [[by_outer[outer[p] ^ outer[pos]] for p in range(pos)] for pos in range(m)]
+    # far[pos]: triples x < y < z < pos - 1 whose outer XOR is outer[pos];
+    # near[pos]: pairs (x, y) that complete such a triple with z = pos - 1
+    position = {a: i for i, a in enumerate(outer)}
+    far = [[] for _ in range(m + 1)]
+    near = [[] for _ in range(m + 1)]
+    for z in range(m):
+        for y in range(z):
+            yz = outer[y] ^ outer[z]
+            for x in range(y):
+                pos = position.get(outer[x] ^ yz, -1)
+                if pos == z + 1:
+                    near[pos].append((x, y))
+                elif pos > z:
+                    far[pos].append((x, y, z))
     inner = [-1] * m
     used = [False] * len(pool)
     explored = 0
 
-    def extend(pos: int) -> bool:
+    def extend(pos: int, base: set, pairs: set) -> bool:
         nonlocal explored
         if pos == m:
             return True
         order = list(range(len(pool)))
         if rng is not None:
             rng.shuffle(order)
-        row = slots[pos]
-        forbidden = {inner[p] ^ d for p, placed in enumerate(row) for d in placed}
+        last = inner[pos - 1]  # pairs is empty at pos 0
+        children = None
         for idx in order:
             if used[idx]:
                 continue
             explored += 1
             cand = pool[idx]
-            if cand in forbidden:
+            if cand in base or cand ^ last in pairs:
                 continue
+            if children is None:
+                children = ({inner[x] ^ inner[y] ^ inner[z] for x, y, z in far[pos + 1]},
+                            {inner[x] ^ inner[y] for x, y in near[pos + 1]})
             inner[pos] = cand
             used[idx] = True
-            for p, placed in enumerate(row):
-                placed.append(inner[p] ^ cand)
-            if extend(pos + 1):
+            if extend(pos + 1, *children):
                 return True
-            for placed in row:
-                placed.pop()
             used[idx] = False
         return False
 
-    if not extend(0):
+    if not extend(0, set(), set()):
         raise SearchNotFoundError(m, k, explored)
     return SearchResult(m=m, k=k, outer=tuple(outer), inner=tuple(inner), explored=explored)

@@ -88,6 +88,14 @@ def test_decode_rejects_bad_hex(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("text", ["-01", "0x1", "1_2", "+ff", "\u0661\u0662\u0663"])
+def test_decode_rejects_what_int_takes_but_is_not_hex(capsys, text):
+    # each has the 3 digits a 2x2 word needs, and int(text, 16) parses it
+    code, out, err = run(capsys, "decode", "--code", "2x2", f"--hex={text}")
+    assert (code, out) == (1, "")
+    assert err == f"error: not a hex string: {text!r}\n"
+
+
 # --- sweep ---------------------------------------------------------------------
 
 def test_sweep_single_cell(capsys):

@@ -65,11 +65,16 @@ def test_search_is_deterministic_per_seed():
 
 
 def _oracle_grid():
-    """k = 3 at every m, k = 4 up to m = 11, k = 5 up to m = 18; seeds 0-3."""
+    """k = 3 at every m, k = 4 up to m = 11, k = 5 up to m = 18; seeds 0-3.
+
+    Then five wider problems where the search backtracks through thousands
+    of states (7,959 to 19,656 explored).
+    """
     for k, m_max in ((3, len(available_addresses(3))), (4, 11), (5, 18)):
         for m in range(2, m_max + 1):
             for seed in range(4):
                 yield m, k, seed
+    yield from ((40, 6, 0), (43, 6, 1), (43, 6, 2), (56, 7, 1), (59, 7, 2))
 
 
 def test_search_matches_the_reference_kernel():
@@ -82,7 +87,8 @@ def test_search_matches_the_reference_kernel():
 
 
 @pytest.mark.parametrize("m, k, seed, explored",
-                         [(25, 5, 1, 34693), (64, 7, 0, 51469), (70, 7, 0, 51620)])
+                         [(25, 5, 1, 34693), (25, 5, 3, 59938), (41, 6, 0, 187200),
+                          (64, 7, 0, 51469), (70, 7, 0, 51620)])
 def test_search_explored_counts_are_pinned(m, k, seed, explored):
     # the explored count is printed in the golden search report
     res = search_assignment(m, k, seed)
