@@ -4,16 +4,16 @@ Each stored bit fails independently as a Poisson process with rate lam
 (failures per bit per day), so after t days a bit has flipped with
 probability 1 - e^(-lam*t) and the number of accumulated errors in an
 n-bit word is binomial.  A reading survives if no errors accumulated or
-if the accumulated count was one the decoder corrects; the correction
-rates per error count come from the exhaustive injection sweeps.
+if the accumulated count was one the decoder corrects.
 
-Correction rates are only measured for counts 1..sigma (the sweeps cover
-1 to 8 simultaneous errors), so the model charges a failure only when
-the count lands inside that window and the decoder misses:
+For a builtin code, ``code_params`` computes epsilon_i, the fraction of
+all i-bit codestruct error patterns the decoder corrects, with ``sweep()``
+for each i in the paper's window 1..SIGMA.  The model charges a failure
+only when the count lands inside that window and the decoder misses:
 
     r(t) = 1 - sum_{i=1..sigma} P_i(t) * (1 - epsilon_i)
 
-Counts beyond sigma are outside the measured window and are not charged;
+Counts beyond sigma are outside the modelled window and are not charged;
 the curve is therefore an optimistic finite-window estimate whose
 fidelity degrades once P(count > sigma) stops being negligible.  For the
 builtin codes over a 20,000-day horizon at the default rate that tail
@@ -27,21 +27,18 @@ import operator
 from dataclasses import dataclass
 
 from .code import builtin_config
+from .injection import Region, sweep
 
 #: failures per bit per day: one upset per bit per ~100,000 days, the
 #: harsh-orbit ballpark used for all shipped curves.
 DEFAULT_LAMBDA = 1e-5
 
-# Whole-codestruct correction rates for 1..8 accumulated errors, as exact
-# fractions of the exhaustive sweeps (corrected patterns / patterns).
-# Regenerate with:  overlap-ecc sweep --code <name> --region all --errors 1..8
-CODE_EPSILON = {
-    "2x2": (1.0, 1.0, 89 / 220, 88 / 495, 70 / 792, 33 / 924, 8 / 792, 1 / 495),
-    "3x3": (1.0, 1.0, 241 / 969, 353 / 3876, 414 / 11628, 283 / 27132,
-            139 / 50388, 82 / 75582),
-    "4x4": (1.0, 1.0, 650 / 3276, 1011 / 20475, 1579 / 98280, 1366 / 376740,
-            1090 / 1184040, 944 / 3108105),
-}
+#: the paper's window: correction rates cover 1..SIGMA accumulated errors
+SIGMA = 8
+
+#: the most samples one curve may hold (20,000 days at step 1 take 20,001);
+#: the cap also keeps t + step clear of float absorption
+MAX_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -59,8 +56,8 @@ class ReliabilityParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not self.lam > 0:
-            raise ValueError("lam must be > 0")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
         eps = tuple(float(e) for e in self.epsilon)
         if len(eps) > self.n:
             raise ValueError("epsilon longer than the word: sigma must be <= n")
@@ -75,9 +72,11 @@ class ReliabilityParams:
 
 
 def code_params(name: str, lam: float = DEFAULT_LAMBDA) -> ReliabilityParams:
-    """Params for a builtin code: its codestruct size and measured rates."""
+    """Params for a builtin code: its codestruct size and the sweep's rates."""
     cfg = builtin_config(name)
-    return ReliabilityParams(n=cfg.n, lam=lam, epsilon=CODE_EPSILON[name])
+    reports = sweep(cfg, Region.CODESTRUCT, 1, SIGMA)
+    return ReliabilityParams(n=cfg.n, lam=lam,
+                             epsilon=tuple(r.corrected / r.decodings for r in reports))
 
 
 def _log_binom(n: int, i: int) -> float:
@@ -91,7 +90,7 @@ def _binomial_pmf(n: int, lam: float, t: float, counts) -> list:
     cannot overflow; 1-p is e^(-lam*t) exactly, which keeps the tail
     accurate for tiny p.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be >= 0")
     lt = lam * t
     p = -math.expm1(-lt)
@@ -111,8 +110,9 @@ def p_i_errors(n: int, i: int, lam: float, t: float) -> float:
 
 def masked_probability(params: ReliabilityParams, t: float) -> float:
     """P(errors accumulated by day t but the decoder fully masked them)."""
-    return sum(p_i_errors(params.n, i, params.lam, t) * params.epsilon[i - 1]
-               for i in range(1, params.sigma + 1))
+    counts, _ = _miss_terms(params)
+    return sum(map(operator.mul, _binomial_pmf(params.n, params.lam, t, counts),
+                   params.epsilon))
 
 
 def _miss_terms(params: ReliabilityParams) -> tuple:
@@ -136,13 +136,8 @@ def reliability_at(params: ReliabilityParams, t: float) -> float:
 class ReliabilityCurve:
     """Sampled reliability and its finite-horizon integral."""
 
-    params: ReliabilityParams
     samples: tuple = ()  # ((t_days, r), ...)
     mttf: float = 0.0    # trapezoidal integral of r over the horizon, in days
-
-    @property
-    def horizon(self) -> float:
-        return self.samples[-1][0] if self.samples else 0.0
 
 
 def reliability_curve(params: ReliabilityParams, t_max: float,
@@ -152,10 +147,14 @@ def reliability_curve(params: ReliabilityParams, t_max: float,
     The integral is a finite-horizon stand-in for mean time to failure;
     with r pinned at 1 it equals the horizon itself.
     """
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if not 0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
+    count = 1 - (-t_max // step)  # ceil(t_max / step) + 1, inf for a tiny step
+    if count > MAX_SAMPLES:
+        raise ValueError(f"t_max / step asks for {count:.7g} samples; "
+                         f"a curve holds at most {MAX_SAMPLES}")
     ts = [0.0]
     while ts[-1] < t_max:
         ts.append(min(ts[-1] + step, t_max))
@@ -164,7 +163,7 @@ def reliability_curve(params: ReliabilityParams, t_max: float,
     mttf = 0.0
     for (t0, r0), (t1, r1) in zip(samples, samples[1:]):
         mttf += (r0 + r1) * (t1 - t0) / 2.0
-    return ReliabilityCurve(params=params, samples=samples, mttf=mttf)
+    return ReliabilityCurve(samples=samples, mttf=mttf)
 
 
 CSV_HEADER = "t_days,reliability"

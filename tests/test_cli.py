@@ -284,6 +284,30 @@ def test_reliability_rejects_bad_rates(capsys):
         code, out, err = run(capsys, "reliability", "--code", "2x2", flag, value)
         assert code == 1 and out == ""
         assert err.startswith(f"error: Invalid value for '{flag}'")
+    # values click's ranges let through, which the model itself rejects
+    for args, why in [(("--t-max", "inf"), "t_max must be finite"),
+                      (("--t-max", "nan"), "t_max must be finite"),
+                      (("--step", "nan"), "step must be finite"),
+                      (("--lambda", "inf"), "lam must be finite"),
+                      (("--step", "1e-300", "--t-max", "1"),
+                       "t_max / step asks for 1e+300 samples")]:
+        code, out, err = run(capsys, "reliability", "--code", "2x2", *args)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {why}"), (args, err)
+
+
+RELIABILITY_STEP_1_SHA256 = {
+    "2x2": "88da3c7acaf32b2199ec0824e4f876da1300f3176390d3a3ba20b224d17075aa",
+    "3x3": "f25ee1c68bc0f08ec31ba5d981c8dba7865bca160473628ebcfbff7aa56b1e75",
+    "4x4": "e6bf7d7f3db0b44a5c61b68935b415e6378152236c9c9dd554198754d840eb6e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELIABILITY_STEP_1_SHA256))
+def test_reliability_report_is_golden(capsys, name):
+    code, out, _ = run(capsys, "reliability", "--code", name, "--step", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RELIABILITY_STEP_1_SHA256[name]
 
 
 def test_scalability_table(capsys):

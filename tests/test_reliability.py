@@ -1,17 +1,17 @@
 """Reliability model: closed-form binomials against a Monte-Carlo oracle."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from reference import reliability_at_reference
 
+from overlap_ecc import reliability
 from overlap_ecc.code import BUILTIN_NAMES, builtin_config
-from overlap_ecc.injection import Region, sweep
+from overlap_ecc.injection import Region, sweep_python_reference
 from overlap_ecc.reliability import (
-    CODE_EPSILON,
     DEFAULT_LAMBDA,
+    MAX_SAMPLES,
     ReliabilityParams,
     code_params,
     curve_to_csv,
@@ -91,10 +91,19 @@ def test_masked_probability_degenerate_profiles():
     assert math.isclose(masked_probability(two, 5000), expect, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_masked_probability_is_the_per_count_sum_exactly(name):
+    params = code_params(name)
+    for t in (0, 1, 1e3, 5e3, 1e4, 2e4, 1e6):
+        want = sum(p_i_errors(params.n, i, params.lam, t) * params.epsilon[i - 1]
+                   for i in range(1, params.sigma + 1))
+        assert masked_probability(params, t) == want, (name, t)
+
+
 # --- reliability ----------------------------------------------------------
 
 def test_reliability_starts_at_one_and_decreases():
-    for name in CODE_EPSILON:
+    for name in BUILTIN_NAMES:
         params = code_params(name)
         assert reliability_at(params, 0) == 1.0
         rs = [reliability_at(params, t) for t in range(0, 20001, 1000)]
@@ -104,7 +113,7 @@ def test_reliability_starts_at_one_and_decreases():
 
 def test_reliability_decreases_with_word_size():
     # same failure rate and correction profile: more bits, more exposure
-    eps = CODE_EPSILON["3x3"]
+    eps = code_params("3x3").epsilon
     for t in (1000, 5000, 10000, 20000):
         rs = [reliability_at(ReliabilityParams(n=n, lam=DEFAULT_LAMBDA, epsilon=eps), t)
               for n in (12, 19, 28)]
@@ -139,7 +148,7 @@ def test_curve_samples_and_mttf():
     curve = reliability_curve(code_params("2x2"), 20000, 1000)
     assert len(curve.samples) == 21
     assert curve.samples[0] == (0.0, 1.0)
-    assert curve.horizon == 20000
+    assert curve.samples[-1][0] == 20000
     assert 0 < curve.mttf < 20000
 
 
@@ -182,22 +191,57 @@ def test_curve_csv_format():
 
 # --- validation ----------------------------------------------------------------
 
+# Whole-codestruct correction rates for 1..8 errors, as exact fractions
+# (corrected patterns / patterns) of the exhaustive sweeps.
+CODESTRUCT_EPSILON = {
+    "2x2": (1.0, 1.0, 89 / 220, 88 / 495, 70 / 792, 33 / 924, 8 / 792, 1 / 495),
+    "3x3": (1.0, 1.0, 241 / 969, 353 / 3876, 414 / 11628, 283 / 27132,
+            139 / 50388, 82 / 75582),
+    "4x4": (1.0, 1.0, 650 / 3276, 1011 / 20475, 1579 / 98280, 1366 / 376740,
+            1090 / 1184040, 944 / 3108105),
+}
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_code_epsilon_is_the_codestruct_sweep(name):
-    # the hand-copied fractions are the default sweep's correction rates
-    reports = sweep(builtin_config(name), Region.CODESTRUCT, 1, 8)
-    assert CODE_EPSILON[name] == tuple(float(Fraction(r.corrected, r.decodings))
-                                       for r in reports)
+    assert code_params(name).epsilon == CODESTRUCT_EPSILON[name]
+
+
+@pytest.mark.parametrize("name, e_max", [("2x2", 8), ("3x3", 4)])
+def test_code_epsilon_matches_the_object_decoder(name, e_max):
+    # an independent path: every pattern through the public decode()
+    epsilon = code_params(name).epsilon
+    for e in range(1, e_max + 1):
+        ref = sweep_python_reference(builtin_config(name), Region.CODESTRUCT, e)
+        assert ref.corrected / ref.decodings == epsilon[e - 1], (name, e)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         ReliabilityParams(n=0, lam=1e-5)
-    with pytest.raises(ValueError):
-        ReliabilityParams(n=5, lam=0.0)
+    for lam in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ReliabilityParams(n=5, lam=lam)
     with pytest.raises(ValueError):
         ReliabilityParams(n=5, lam=1e-5, epsilon=(1.5,))
     with pytest.raises(ValueError):
         ReliabilityParams(n=2, lam=1e-5, epsilon=(1.0, 1.0, 1.0))
+    params = code_params("2x2")
+    for t_max, step in ((1000, 0), (1000, math.nan), (1000, math.inf), (math.inf, 1),
+                        (math.nan, 1), (1, 1e-300), (1, 5e-324)):
+        with pytest.raises(ValueError):
+            reliability_curve(params, t_max, step)
     with pytest.raises(ValueError):
-        reliability_curve(code_params("2x2"), 1000, 0)
+        masked_probability(params, math.nan)
+
+
+def test_curve_sample_cap_is_exact(monkeypatch):
+    params = ReliabilityParams(n=5, lam=1e-5, epsilon=(1.0,) * 5)
+    with pytest.raises(ValueError, match=f"asks for {MAX_SAMPLES + 1} samples"):
+        reliability_curve(params, MAX_SAMPLES, 1)
+    # the bound itself, on a small cap: 9 steps make 10 samples, 9.5 make 11
+    monkeypatch.setattr(reliability, "MAX_SAMPLES", 10)
+    assert len(reliability_curve(params, 9, 1).samples) == 10
+    assert len(reliability_curve(params, 90, 10).samples) == 10
+    with pytest.raises(ValueError, match="asks for 11 samples"):
+        reliability_curve(params, 9.5, 1)
