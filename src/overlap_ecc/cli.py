@@ -28,6 +28,7 @@ from .code import (
     decode as decode_word,
     encode as encode_word,
 )
+from .hamming import MAX_CHECK_BITS
 from .injection import Region, reports_to_csv, reports_to_json_obj, sweep
 from .manifest import RunManifest, manifest_path, sha256_text
 from .reliability import DEFAULT_LAMBDA, code_params, curve_to_csv, reliability_curve
@@ -86,8 +87,8 @@ def _load_maps(path: str) -> tuple:
     if not all(isinstance(a, list) and a and all(type(x) is int for x in a) for a in layers):
         raise ValueError(f"{path}: address lists must be non-empty lists of integers")
     k = obj.get("k", max(2, *(max(a).bit_length() for a in layers)))
-    if type(k) is not int or not 2 <= k <= 16:  # tables have 2**k entries
-        raise ValueError(f"{path}: k must be an integer in [2, 16], got {k!r}")
+    if type(k) is not int or not 2 <= k <= MAX_CHECK_BITS:
+        raise ValueError(f"{path}: k must be an integer in [2, {MAX_CHECK_BITS}], got {k!r}")
     return tuple(AddressAssignment.from_logical(a, k) for a in layers)
 
 

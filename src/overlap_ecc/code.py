@@ -19,11 +19,11 @@ forms), for m data bits and k check bits per layer:
 
 Two cached tables per configuration drive the codec.  Each position's
 packed syndrome contribution (syndrome_contributions) makes a word's
-syndrome one XOR fold, which encode and decode share.  The decision
-table (decision_table) holds the decode ladder's action for every packed
-syndrome, so decoding is one lookup.  Check bits are never corrected:
-they are recomputable from corrected data, so only the data region is
-repaired.
+syndrome one XOR fold, which encode and decode share.  The composite
+pair table (build_double_error_table) resolves double data errors; the
+decode ladder reads it for the one syndrome a word presents.  Check bits
+are never corrected: they are recomputable from corrected data, so only
+the data region is repaired.
 """
 
 from __future__ import annotations
@@ -318,8 +318,13 @@ def _stored_syndrome(cfg: OverlapConfig, cs: Codestruct) -> int:
 _action = functools.lru_cache(maxsize=None)(DecodeAction)  # one instance per distinct action
 
 
-def _ladder(cfg: OverlapConfig, pairs: Mapping, o: int, i: int) -> DecodeAction:
-    """The decode ladder for one nonzero packed syndrome; see decode()."""
+def _ladder(cfg: OverlapConfig, pairs: Mapping, s: int) -> DecodeAction | None:
+    """The decode ladder for packed syndrome s; None for a clean word; see decode()."""
+    if not s:
+        return None
+    k = cfg.k
+    o = s >> (k + 1)
+    i = s & ((1 << (k + 1)) - 1)
     ear_o = o >> 1
     ear_i = i >> 1
     if ear_o == 0 or ear_i == 0:
@@ -336,26 +341,12 @@ def _ladder(cfg: OverlapConfig, pairs: Mapping, o: int, i: int) -> DecodeAction:
     return _action(kind, (pos,)) if pos >= 0 else _action("detected_only")
 
 
-@functools.lru_cache(maxsize=None)
-def decision_table(cfg: OverlapConfig) -> tuple:
-    """The decoder's action for every packed syndrome (o << (k+1)) | i.
-
-    Entry 0 (a clean word) is None; every other entry is the ladder's
-    DecodeAction, with equal actions shared between entries.
-    """
-    k = cfg.k
-    low = (1 << (k + 1)) - 1
-    pairs = build_double_error_table(cfg)
-    return (None, *(_ladder(cfg, pairs, s >> (k + 1), s & low)
-                    for s in range(1, 1 << (2 * k + 2))))
-
-
 def decode(cfg: OverlapConfig, cs: Codestruct) -> DecodeOutcome:
-    """Table-driven single/double-error decoder.
+    """Single/double-error decoder.
 
-    The stored word's packed syndrome indexes decision_table(cfg), which
-    holds the ladder's answer for every syndrome.  Branch order matters.
-    With the default ``single_first`` profile:
+    The ladder runs on the stored word's packed syndrome; a zero syndrome
+    is a clean word and needs no action.  Branch order matters.  With the
+    default ``single_first`` profile:
 
     1. either layer's error address is zero -> no correction (that layer saw
        nothing, or only its own parity/check bits are hit);
@@ -383,7 +374,7 @@ def decode(cfg: OverlapConfig, cs: Codestruct) -> DecodeOutcome:
     bits, evaluated before correction.
     """
     s = _stored_syndrome(cfg, cs)
-    action = decision_table(cfg)[s]
+    action = _ladder(cfg, build_double_error_table(cfg), s)
     data = _flip(cs.data, action.positions) if action else cs.data
     return DecodeOutcome(data=data, detected=s != 0, action=action)
 

@@ -18,6 +18,9 @@ from typing import Sequence
 
 BitVec = tuple  # ordered 0/1 ints
 
+#: largest check-bit count per layer: address tables have 2**k entries
+MAX_CHECK_BITS = 16
+
 
 def as_bits(value, length: int | None = None) -> BitVec:
     """Normalize a bit sequence ('0101', [0,1,0,1], ...) to a tuple of ints."""

@@ -4,9 +4,10 @@ Every error pattern of a given weight inside a region (data bits, check
 bits, or the whole codestruct) is applied to an encoded word; the decoder
 runs and two counters accumulate: patterns whose syndromes flagged anything
 (detected) and patterns after which the data region equals the original
-payload (corrected).  sweep() counts both exactly from code.decision_table;
-the integer kernel in _sweep_py and sweep_python_reference (the object-level
-decoder) decode every pattern, as independent references.
+payload (corrected).  sweep() counts both exactly from the decode ladder's
+action on each syndrome; the integer kernel in _sweep_py and
+sweep_python_reference (the object-level decoder) decode every pattern, as
+independent references.
 
 Two injector behaviors are supported:
 
@@ -35,9 +36,9 @@ from . import _sweep_py as _kernel  # enumeration reference; benchmarks/perfbenc
 from .code import (
     Codestruct,
     OverlapConfig,
+    _ladder,
     as_bits,
     build_double_error_table,
-    decision_table,
     decode,
     encode,
     syndrome_contributions,
@@ -210,10 +211,12 @@ def _tally(groups, e_max: int) -> list:
 @functools.lru_cache(maxsize=None)
 def _repairs(cfg: OverlapConfig) -> tuple:
     """repairs[w][c]: syndromes s with |F(s)| = w and s ^ S(F(s)) = c, where
-    F(s) are the data flips of decision_table(cfg)[s].  Read-only."""
+    F(s) are the data flips of the decode ladder's action on s.  Read-only."""
     contrib = syndrome_contributions(cfg)
+    pairs = build_double_error_table(cfg)
     keys = ([], [], [])
-    for s, action in enumerate(decision_table(cfg)):
+    for s in range(1 << (2 * cfg.k + 2)):
+        action = _ladder(cfg, pairs, s)
         flips = action.positions if action else ()
         keys[len(flips)].append(functools.reduce(operator.xor, map(contrib.__getitem__, flips), s))
     return tuple(map(collections.Counter, keys))

@@ -79,21 +79,12 @@ def baseline_costs() -> tuple:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """All ECC costs for one square size, with the cheapest flagged."""
-
-    size: str
-    rows: tuple                 # CostRow per available ecc: overlapped, then BASELINE_ORDER
-    cheapest: tuple             # ecc labels attaining the minimum rc
-    baselines_available: bool
-
-
 def compare(max_side: int) -> list:
-    """Side-by-side rc for square areas 2x2..max_side x max_side.
+    """Cost rows for square areas 2x2..max_side x max_side, size-major.
 
-    Baselines only exist through 7x7; larger sizes report the overlapped
-    row alone, flagged baselines_available=False.
+    Each size lists the overlapped row, then the baselines in
+    BASELINE_ORDER; baselines only exist through 7x7, so larger sizes
+    list the overlapped row alone.
     """
     if max_side < 2:
         raise ValueError("max_side must be >= 2")
@@ -101,26 +92,17 @@ def compare(max_side: int) -> list:
     out = []
     for side in range(2, max_side + 1):
         size = f"{side}x{side}"
-        rows = [overlapped_cost(side, side)]
-        available = side in BASELINE_SIDES
-        if available:
-            rows.extend(by_key[(ecc, size)] for ecc in BASELINE_ORDER)
-        best = min(r.rc for r in rows)
-        cheapest = tuple(r.ecc for r in rows if r.rc == best)
-        out.append(ComparisonRow(size=size, rows=tuple(rows), cheapest=cheapest,
-                                 baselines_available=available))
+        out.append(overlapped_cost(side, side))
+        if side in BASELINE_SIDES:
+            out.extend(by_key[(ecc, size)] for ecc in BASELINE_ORDER)
     return out
 
 
 CSV_HEADER = "size,N,ecc,check_bits,total_bits,rc"
 
 
-def rows_to_csv(rows) -> str:
+def comparison_to_csv(rows) -> str:
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(f"{r.size},{r.n},{r.ecc},{r.check_bits},{r.total_bits},{r.rc:.2f}")
     return "\n".join(lines) + "\n"
-
-
-def comparison_to_csv(comparison) -> str:
-    return rows_to_csv([r for row in comparison for r in row.rows])

@@ -31,13 +31,13 @@ import random
 from dataclasses import dataclass, field
 
 from .code import AddressAssignment, OverlapConfig
-from .hamming import min_check_bits
+from .hamming import MAX_CHECK_BITS, min_check_bits
 
 
 def available_addresses(k: int) -> tuple:
     """Usable data addresses for k check bits: non-powers-of-two in [3, 2**k - 1]."""
-    if k < 2:
-        raise ValueError("need at least 2 check bits")
+    if not 2 <= k <= MAX_CHECK_BITS:
+        raise ValueError(f"k must be in [2, {MAX_CHECK_BITS}], got {k}")
     return tuple(a for a in range(3, 1 << k) if a & (a - 1) != 0)
 
 
@@ -47,9 +47,6 @@ class ValidationReport:
 
     ok: bool
     collisions: tuple = ()  # ((pair_a, pair_b, key), ...)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def validate_assignment(outer, inner) -> ValidationReport:

@@ -28,7 +28,7 @@ from overlap_ecc.hamming import (
 )
 from overlap_ecc.injection import Region, apply_pattern, enumerate_patterns, sweep
 from overlap_ecc.reliability import ReliabilityParams, masked_probability, reliability_at
-from overlap_ecc.scalability import baseline_costs, overlapped_cost, rows_to_csv
+from overlap_ecc.scalability import baseline_costs, comparison_to_csv, overlapped_cost
 from overlap_ecc.search import validate_assignment
 
 CODES = ("2x2", "3x3", "4x4")
@@ -207,7 +207,7 @@ def test_criterion_06_redundancy_costs():
     for side, (cb, cs, rc) in zip(range(2, 8), OVERLAPPED_COSTS):
         row = overlapped_cost(side, side)
         assert (row.check_bits, row.total_bits, row.rc) == (cb, cs, rc), side
-    assert rows_to_csv(baseline_costs()) == BASELINE_CSV
+    assert comparison_to_csv(baseline_costs()) == BASELINE_CSV
     print("criterion 6: PASS - overlapped cost column exact, baselines byte-equal")
 
 

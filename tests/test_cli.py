@@ -72,6 +72,14 @@ def test_decode_round_trip_with_double_error(capsys):
     assert out3 == _decode_report("4x4", "detected_only", [], word["data"])
 
 
+def test_decode_report_is_golden(capsys):
+    # a double data error on the 4x4 code, repaired through the pair table
+    code, out, _ = run(capsys, "decode", "--code", "4x4", "--hex", "2eaa0e7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "99cb5abc3d11f95e281c6dbb7aa6620933d4ffe834aa45d5f93c196c38aacc0c"
+
+
 def _decode_report(name, action, flipped, data):
     return json.dumps({
         "schema": "overlap-ecc/decode/1",
@@ -195,6 +203,12 @@ def test_search_impossible_pool_is_usage_error(capsys):
     code, _, err = run(capsys, "search", "--m", "12", "--k", "4")
     assert code == 1
     assert "11" in err  # pool size named in the message
+
+
+def test_search_rejects_k_past_the_bound(capsys):
+    code, out, err = run(capsys, "search", "--m", "4", "--k", "17")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: k must be in [2, 16], got 17"]
 
 
 def test_verify_builtin_ok(capsys):

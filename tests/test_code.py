@@ -1,6 +1,8 @@
 """Codec behavior: encode, syndromes, the decoder ladder, serialization."""
 
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from overlap_ecc.code import (
     syndrome_contributions,
 )
 from overlap_ecc.injection import Region, build_sweep_tables, sweep
+from overlap_ecc.search import search_assignment
 
 
 def flip(cs: Codestruct, cfg: OverlapConfig, *positions) -> Codestruct:
@@ -146,7 +149,7 @@ def _reference_tally(cfg: OverlapConfig, tables: dict, pattern: list) -> tuple:
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_decision_table_matches_reference_ladder(name):
+def test_decode_ladder_matches_reference_ladder(name):
     # The 2k+2 check-region bits reach every syndrome exactly once.  A
     # check-only pattern is corrected iff the syndrome's action flips no data;
     # adding the action's own data flips (and re-aiming the check bits at the
@@ -173,6 +176,51 @@ def test_decision_table_matches_reference_ladder(name):
         out = decode(cfg, flip(clean, cfg, *word))
         assert out.action is action and out.data == clean.data
         assert _reference_tally(cfg, tables, word) == (1, 1)
+
+
+# SHA-256 of "{s} {kind} {positions}" lines, one per packed syndrome s
+ACTION_DIGESTS = {
+    "2x2": "048a3a125e8817afe34a73f4a37604ceae9088a4fbbe6ab0cef7a52b246c6012",
+    "3x3": "fa91cbce5b5cb283515cfc01dd23b91b537d6644cd300c2c41de0c5daf77bf91",
+    "4x4": "715bdae0ea81b80b8491cd423dcc152888abedefddb921a47410101e19c757ae",
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_every_syndrome_action_is_pinned(name):
+    # check-region patterns on the all-zero word reach each syndrome once
+    cfg = builtin_config(name)
+    clean = encode(cfg, (0,) * cfg.m)
+    checks = range(cfg.m, cfg.n)
+    lines = {}
+    for mask in range(1 << len(checks)):
+        pattern = [p for b, p in enumerate(checks) if mask >> b & 1]
+        s = packed_syndrome(cfg, pattern)
+        action = decode(cfg, flip(clean, cfg, *pattern)).action
+        kind, positions = (action.kind, action.positions) if action else (None, ())
+        lines[s] = f"{s} {kind or 'none'} {','.join(map(str, positions))}\n"
+    assert sorted(lines) == list(range(1 << len(checks)))
+    text = "".join(lines[s] for s in sorted(lines))
+    assert hashlib.sha256(text.encode()).hexdigest() == ACTION_DIGESTS[name]
+
+
+def test_decode_on_a_wide_map():
+    # k = 9: a syndrome has 20 bits, so the first decode must not build
+    # anything that grows with 2**(2k+2)
+    cfg = search_assignment(16, k=9, seed=0).to_config("wide", 4, 4)
+    clean = encode(cfg, (1, 0) * 8)
+    tracemalloc.start()
+    try:
+        out = decode(cfg, flip(clean, cfg, 0, 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data == clean.data
+    assert peak < 1 << 20
+    for a in range(cfg.n):
+        assert decode(cfg, flip(clean, cfg, a)).data == clean.data
+        for b in range(a + 1, cfg.n):
+            assert decode(cfg, flip(clean, cfg, a, b)).data == clean.data
 
 
 # --- decode profiles -------------------------------------------------------

@@ -4,12 +4,12 @@ import pytest
 
 from overlap_ecc.code import builtin_config
 from overlap_ecc.scalability import (
+    BASELINE_ORDER,
     CostRow,
     baseline_costs,
     compare,
     comparison_to_csv,
     overlapped_cost,
-    rows_to_csv,
 )
 
 # the full expected cost table: size -> {ecc: (check_bits, total_bits, rc)}
@@ -55,13 +55,27 @@ def test_costs_agree_with_builtin_geometry():
         assert row.check_bits == 2 * (cfg.k + 1)
 
 
+def _by_size(rows) -> dict:
+    """size -> that size's cost rows, in the order compare() lists them."""
+    groups = {}
+    for r in rows:
+        groups.setdefault(r.size, []).append(r)
+    return groups
+
+
+def _cheapest(group) -> tuple:
+    """ecc labels attaining the group's minimum rc."""
+    best = min(r.rc for r in group)
+    return tuple(r.ecc for r in group if r.rc == best)
+
+
 def test_compare_flags_cheapest():
-    comp = compare(7)
-    assert [row.size for row in comp] == ["2x2", "3x3", "4x4", "5x5", "6x6", "7x7"]
-    assert comp[0].cheapest == ("PBD",)
-    for row in comp[1:]:
-        assert row.cheapest == ("overlapped",)
-        assert row.baselines_available
+    groups = _by_size(compare(7))
+    assert list(groups) == ["2x2", "3x3", "4x4", "5x5", "6x6", "7x7"]
+    assert _cheapest(groups["2x2"]) == ("PBD",)
+    for size in list(groups)[1:]:
+        assert _cheapest(groups[size]) == ("overlapped",)
+        assert [r.ecc for r in groups[size]] == ["overlapped", *BASELINE_ORDER]
 
 
 def test_overlapped_rc_non_increasing():
@@ -71,11 +85,11 @@ def test_overlapped_rc_non_increasing():
 
 
 def test_beyond_baseline_sizes():
-    comp = compare(9)
-    beyond = {row.size: row for row in comp if not row.baselines_available}
+    groups = _by_size(compare(9))
+    beyond = {size: group for size, group in groups.items() if len(group) == 1}
     assert set(beyond) == {"8x8", "9x9"}
-    assert len(beyond["8x8"].rows) == 1
-    assert beyond["8x8"].rows[0].check_bits == 16  # k=7 for 64 data bits
+    assert all(_cheapest(group) == ("overlapped",) for group in beyond.values())
+    assert beyond["8x8"][0].check_bits == 16  # k=7 for 64 data bits
 
 
 def test_large_area_cost_shrinks():
@@ -106,5 +120,5 @@ def test_csv_shape():
     assert len(lines) == 1 + 24
     assert lines[1] == "2x2,4,overlapped,8,12,0.67"
     assert lines[-1] == "7x7,49,CLC,47,96,0.49"
-    assert rows_to_csv([overlapped_cost(5, 5)]).strip().splitlines()[1] == \
+    assert comparison_to_csv([overlapped_cost(5, 5)]).strip().splitlines()[1] == \
         "5x5,25,overlapped,12,37,0.32"

@@ -4,6 +4,7 @@ import pytest
 from reference import search_assignment_reference
 
 from overlap_ecc.code import BUILTIN_NAMES, builtin_config
+from overlap_ecc.hamming import MAX_CHECK_BITS
 from overlap_ecc.search import (
     SearchNotFoundError,
     available_addresses,
@@ -20,6 +21,15 @@ def test_available_addresses_skips_powers_of_two():
     assert all(3 <= a <= 31 for a in pool5)
     with pytest.raises(ValueError):
         available_addresses(1)
+    assert len(available_addresses(MAX_CHECK_BITS)) == (1 << MAX_CHECK_BITS) - MAX_CHECK_BITS - 1
+    with pytest.raises(ValueError, match=rf"\[2, {MAX_CHECK_BITS}\]"):
+        available_addresses(MAX_CHECK_BITS + 1)
+
+
+def test_search_rejects_k_past_the_bound_before_allocating():
+    # a pool for k=40 would hold about 2**40 addresses; the bound check comes first
+    with pytest.raises(ValueError, match=rf"\[2, {MAX_CHECK_BITS}\]"):
+        search_assignment(4, k=40)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -28,7 +38,6 @@ def test_builtin_maps_validate(name):
     report = validate_assignment(cfg.outer, cfg.inner)
     assert report.ok
     assert report.collisions == ()
-    assert bool(report)
 
 
 def test_identity_pair_collides():
