@@ -3,8 +3,8 @@
 Processes a contiguous lexicographic range of error patterns of fixed weight
 and tallies decoder outcomes.  It writes out its own copy of the decode
 ladder over integer tables (injection.build_sweep_tables), independent of
-the codec's decision table, so the tests and the benchmark can pin it
-against the codec and the exact counts of injection.sweep().
+the codec's own ladder (code._ladder), so the tests and the benchmark can
+pin it against the codec and the exact counts of injection.sweep().
 
 Patterns are combinations of absolute bit positions.  Per-position syndrome
 contributions are precomputed as packed integers (address bits shifted left

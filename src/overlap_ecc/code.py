@@ -17,18 +17,21 @@ forms), for m data bits and k check bits per layer:
     [m+k+1, m+2k+1)     inner check bits ci
     m+2k+1              inner parity pi
 
-Two cached tables per configuration drive the codec.  Each position's
-packed syndrome contribution (syndrome_contributions) makes a word's
+Two tables drive the codec, and each OverlapConfig instance holds its
+own, built on first use.  Each position's packed syndrome contribution
+(OverlapConfig.contributions, from syndrome_contributions) makes a word's
 syndrome one XOR fold, which encode and decode share.  The composite
-pair table (build_double_error_table) resolves double data errors; the
-decode ladder reads it for the one syndrome a word presents.  Check bits
-are never corrected: they are recomputable from corrected data, so only
-the data region is repaired.
+pair table (OverlapConfig.pair_table, from build_double_error_table)
+resolves double data errors; the decode ladder reads it for the one
+syndrome a word presents.  Check bits are never corrected: they are
+recomputable from corrected data, so only the data region is repaired.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import types
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -75,6 +78,9 @@ DECODE_PROFILES = ("single_first", "double_first")
 
 # maps the ASCII digits of a binary numeral to the bit values 0 and 1
 _BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+# maps the bit values 0 and 1 to ASCII digits, and every other byte to one
+# that int(..., 2) rejects
+_DIGIT_OF_BIT = b"01" + b"?" * 254
 # int(text, 16) also takes a sign, a 0x prefix, "_" and non-ASCII digits
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
@@ -115,17 +121,30 @@ class OverlapConfig:
             raise ValueError(f"unknown decode profile {self.decode_profile!r}; "
                              f"expected one of {DECODE_PROFILES}")
 
-    @property
+    @functools.cached_property
     def m(self) -> int:
         return self.rows * self.cols
 
-    @property
+    @functools.cached_property
     def k(self) -> int:
         return self.outer.k
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
         return self.m + 2 * (self.k + 1)
+
+    @functools.cached_property
+    def contributions(self) -> tuple:
+        """Packed syndrome contribution of each layout position: syndrome_contributions."""
+        return syndrome_contributions(self)
+
+    @functools.cached_property
+    def pair_table(self) -> Mapping:
+        """build_double_error_table on first use: a colliding map raises at every decode."""
+        return build_double_error_table(self)
+
+    def __getstate__(self) -> dict:  # pickle the fields; the cached tables rebuild
+        return {f: self.__dict__[f] for f in self.__dataclass_fields__}
 
     # serialized layout offsets
     @property
@@ -181,9 +200,7 @@ class Codestruct:
         """
         bits = self.bits()
         n = len(bits)
-        value = 0
-        for b in bits:
-            value = value << 1 | b
+        value = int(bytes(bits).translate(_DIGIT_OF_BIT), 2)
         return format(value << (-n % 4), f"0{(n + 3) // 4}x")
 
     @classmethod
@@ -227,13 +244,12 @@ class DecodeOutcome:
     action: DecodeAction | None
 
 
-@functools.lru_cache(maxsize=None)
 def build_double_error_table(cfg: OverlapConfig) -> Mapping:
     """Composite-address table over all C(m,2) data pairs; raises on collision.
 
     Every unordered data pair {a, b} is keyed by
     (lo(a) XOR lo(b), li(a) XOR li(b)); valid assignments make these keys
-    unique.  The table is cached, so it is returned read-only.
+    unique.  OverlapConfig.pair_table keeps it, so it is returned read-only.
     """
     lo = cfg.outer.logical_of_physical
     li = cfg.inner.logical_of_physical
@@ -250,7 +266,6 @@ def build_double_error_table(cfg: OverlapConfig) -> Mapping:
     return types.MappingProxyType(entries)
 
 
-@functools.lru_cache(maxsize=None)
 def syndrome_contributions(cfg: OverlapConfig) -> tuple:
     """Packed syndrome contribution of each layout position (length n).
 
@@ -262,30 +277,15 @@ def syndrome_contributions(cfg: OverlapConfig) -> tuple:
     contributions of its set bits, so it is zero exactly on codewords.
     """
     k = cfg.k
-    outer = [0] * cfg.n
-    inner = [0] * cfg.n
-    for p in range(cfg.m):
-        outer[p] = (cfg.outer.logical_of_physical[p] << 1) | 1
-        inner[p] = (cfg.inner.logical_of_physical[p] << 1) | 1
-    for j in range(k):
-        check = (1 << (k - j)) | 1
-        outer[cfg.co_start + j] = check
-        inner[cfg.ci_start + j] = check
-    outer[cfg.po_pos] = 1
-    inner[cfg.pi_pos] = 1
+    own = [(1 << (k - j)) | 1 for j in range(k)] + [1]  # a layer's check bits, then parity
+    other = [0] * (k + 1)  # the other layer's check and parity bits
+    outer = [(a << 1) | 1 for a in cfg.outer.logical_of_physical] + own + other
+    inner = [(a << 1) | 1 for a in cfg.inner.logical_of_physical] + other + own
     return tuple((o << (k + 1)) | i for o, i in zip(outer, inner))
 
 
 def _packed_syndrome(contributions: Sequence[int], bits: Iterable[int]) -> int:
-    s = 0
-    for c, b in zip(contributions, bits):
-        if b:
-            s ^= c
-    return s
-
-
-def _address_bits(addr: int, k: int) -> BitVec:
-    return tuple((addr >> (k - 1 - j)) & 1 for j in range(k))
+    return functools.reduce(operator.xor, itertools.compress(contributions, bits), 0)
 
 
 def encode(cfg: OverlapConfig, data) -> Codestruct:
@@ -297,11 +297,12 @@ def encode(cfg: OverlapConfig, data) -> Codestruct:
     """
     d = as_bits(data, cfg.m)
     k = cfg.k
-    s = _packed_syndrome(syndrome_contributions(cfg), d)
+    s = _packed_syndrome(cfg.contributions, d)
     o = s >> (k + 1)
     i = s & ((1 << (k + 1)) - 1)
-    return Codestruct(data=d, co=_address_bits(o >> 1, k), po=o.bit_count() & 1,
-                      ci=_address_bits(i >> 1, k), pi=i.bit_count() & 1)
+    b = tuple(format(s, f"0{2 * k + 2}b").encode().translate(_BIT_OF_DIGIT))
+    return Codestruct(data=d, co=b[:k], po=o.bit_count() & 1,
+                      ci=b[k + 1 : 2 * k + 1], pi=i.bit_count() & 1)
 
 
 def _stored_syndrome(cfg: OverlapConfig, cs: Codestruct) -> int:
@@ -312,7 +313,7 @@ def _stored_syndrome(cfg: OverlapConfig, cs: Codestruct) -> int:
     """
     if len(cs.data) != cfg.m or len(cs.co) != cfg.k or len(cs.ci) != cfg.k:
         raise ValueError("codestruct does not match config geometry")
-    return _packed_syndrome(syndrome_contributions(cfg), cs.bits())
+    return _packed_syndrome(cfg.contributions, cs.bits())
 
 
 _action = functools.lru_cache(maxsize=None)(DecodeAction)  # one instance per distinct action
@@ -374,7 +375,7 @@ def decode(cfg: OverlapConfig, cs: Codestruct) -> DecodeOutcome:
     bits, evaluated before correction.
     """
     s = _stored_syndrome(cfg, cs)
-    action = _ladder(cfg, build_double_error_table(cfg), s)
+    action = _ladder(cfg, cfg.pair_table, s)
     data = _flip(cs.data, action.positions) if action else cs.data
     return DecodeOutcome(data=data, detected=s != 0, action=action)
 

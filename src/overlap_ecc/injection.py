@@ -38,10 +38,8 @@ from .code import (
     OverlapConfig,
     _ladder,
     as_bits,
-    build_double_error_table,
     decode,
     encode,
-    syndrome_contributions,
 )
 
 
@@ -168,7 +166,7 @@ def build_sweep_tables(cfg: OverlapConfig) -> dict:
     """Precomputed integer tables the reference kernel (_sweep_py) consumes.
 
     full_o/full_i split each position's packed syndrome contribution
-    (see code.syndrome_contributions) into its outer and inner halves,
+    (see OverlapConfig.contributions) into its outer and inner halves,
     (error-address bits << 1) | parity bit.  inv_flip_* turn a layer's error
     address into a single-bit data flip mask (0 when unmapped).  dtab turns
     the composite (outer << k) | inner key into a two-bit flip mask
@@ -176,9 +174,9 @@ def build_sweep_tables(cfg: OverlapConfig) -> dict:
     config's decode profile (0 single_first, 1 double_first).
     """
     k = cfg.k
-    contributions = syndrome_contributions(cfg)
+    contributions = cfg.contributions
     dtab = [0] * (1 << (2 * k))
-    for (ko, ki), (a, b) in build_double_error_table(cfg).items():
+    for (ko, ki), (a, b) in cfg.pair_table.items():
         dtab[(ko << k) | ki] = (1 << a) | (1 << b)
     return {"m": cfg.m, "k": k, "n": cfg.n,
             "full_o": [c >> (k + 1) for c in contributions],
@@ -212,8 +210,8 @@ def _tally(groups, e_max: int) -> list:
 def _repairs(cfg: OverlapConfig) -> tuple:
     """repairs[w][c]: syndromes s with |F(s)| = w and s ^ S(F(s)) = c, where
     F(s) are the data flips of the decode ladder's action on s.  Read-only."""
-    contrib = syndrome_contributions(cfg)
-    pairs = build_double_error_table(cfg)
+    contrib = cfg.contributions
+    pairs = cfg.pair_table
     keys = ([], [], [])
     for s in range(1 << (2 * cfg.k + 2)):
         action = _ladder(cfg, pairs, s)
@@ -247,7 +245,7 @@ def sweep(cfg: OverlapConfig, region: Region, e_min: int, e_max: int,
     data = (0,) * cfg.m if payload is None else as_bits(payload, cfg.m)
     mirror = injector == "mirror"
     diff_field = payload_diff_field(cfg, encode(cfg, data)) if mirror else 0
-    contrib = syndrome_contributions(cfg)
+    contrib = cfg.contributions
     lo, hi = region.bounds(cfg.m, cfg.n)
     checks = []
     if hi > cfg.m:

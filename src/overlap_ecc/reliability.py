@@ -22,6 +22,7 @@ stays small.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -74,9 +75,14 @@ class ReliabilityParams:
 def code_params(name: str, lam: float = DEFAULT_LAMBDA) -> ReliabilityParams:
     """Params for a builtin code: its codestruct size and the sweep's rates."""
     cfg = builtin_config(name)
-    reports = sweep(cfg, Region.CODESTRUCT, 1, SIGMA)
-    return ReliabilityParams(n=cfg.n, lam=lam,
-                             epsilon=tuple(r.corrected / r.decodings for r in reports))
+    return ReliabilityParams(n=cfg.n, lam=lam, epsilon=_epsilon(cfg.name))
+
+
+@functools.lru_cache(maxsize=None)
+def _epsilon(name: str) -> tuple:
+    """A builtin code's correction rates for 1..SIGMA errors, swept once per name."""
+    reports = sweep(builtin_config(name), Region.CODESTRUCT, 1, SIGMA)
+    return tuple(r.corrected / r.decodings for r in reports)
 
 
 def _log_binom(n: int, i: int) -> float:

@@ -1,6 +1,9 @@
 """Codec behavior: encode, syndromes, the decoder ladder, serialization."""
 
+import dataclasses
 import hashlib
+import itertools
+import pickle
 import random
 import tracemalloc
 
@@ -34,9 +37,10 @@ def flip(cs: Codestruct, cfg: OverlapConfig, *positions) -> Codestruct:
 
 def packed_syndrome(cfg: OverlapConfig, positions) -> int:
     """Packed syndrome (outer << (k+1)) | inner of a flip pattern."""
+    contributions = syndrome_contributions(cfg)
     s = 0
     for p in positions:
-        s ^= syndrome_contributions(cfg)[p]
+        s ^= contributions[p]
     return s
 
 
@@ -311,6 +315,21 @@ def test_serialization_round_trips(name, data):
     cs = encode(cfg, payload)
     assert Codestruct.from_hex(cs.to_hex(), cfg.m, cfg.k) == cs
     assert Codestruct.from_bits(cs.bits(), cfg.m, cfg.k) == cs
+    # any n-bit layout, codeword or not, against the bitwise reference
+    n = cfg.n
+    bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    word = Codestruct.from_bits(bits, cfg.m, cfg.k)
+    text = word.to_hex()
+    assert text == format(int("".join(map(str, bits)), 2) << (-n % 4), f"0{(n + 3) // 4}x")
+    assert Codestruct.from_hex(text, cfg.m, cfg.k) == word
+
+
+@pytest.mark.parametrize("bad", [2, 32, 48, 95, -1, 256])
+def test_to_hex_rejects_a_non_bit(bad):
+    # whitespace (32), "0" (48) and "_" (95) must not pass as digits either
+    cs = encode(builtin_config("2x2"), "1011")
+    with pytest.raises(ValueError):
+        dataclasses.replace(cs, pi=bad).to_hex()
 
 
 def test_as_bits_validation():
@@ -322,6 +341,51 @@ def test_as_bits_validation():
         as_bits("011", 4)
     with pytest.raises(ValueError):
         as_bits([0, 2])
+
+
+# --- per-config tables -----------------------------------------------------
+
+def test_codec_path_hashes_no_config(monkeypatch):
+    # the tables live on the config instance: no cache lookup keyed by it
+    def unhashable(self):
+        raise AssertionError("the codec hashed an OverlapConfig")
+
+    monkeypatch.setattr(OverlapConfig, "__hash__", unhashable)
+    rng = random.Random(11)
+    for name in BUILTIN_NAMES:
+        cfg = builtin_config(name)
+        digits = (cfg.n + 3) // 4
+        for weight in range(4):
+            for pattern in itertools.combinations(range(cfg.n), weight):
+                data = tuple(rng.getrandbits(1) for _ in range(cfg.m))
+                stored = int(encode(cfg, data).to_hex(), 16)
+                for p in pattern:
+                    stored ^= 1 << (4 * digits - 1 - p)
+                out = decode(cfg, Codestruct.from_hex(format(stored, f"0{digits}x"),
+                                                      cfg.m, cfg.k))
+                assert out.detected == (weight > 0)
+                if weight <= 2:
+                    assert out.data == data
+
+
+def test_pair_table_stays_lazy():
+    # identical 3x3 layers collide: 11 ^ 13 == 3 ^ 5 in both
+    layer = builtin_config("3x3").outer
+    cfg = OverlapConfig(name="twin", rows=3, cols=3, outer=layer, inner=layer)
+    clean = encode(cfg, (1,) + (0,) * 8)
+    assert clean.co == clean.ci
+    for _ in range(2):  # a failed build is not kept
+        with pytest.raises(ValueError, match="composite address collision"):
+            decode(cfg, clean)
+
+
+def test_config_pickles_after_decoding():
+    cfg = builtin_config("4x4")
+    decode(cfg, encode(cfg, (0,) * cfg.m))
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg
+    assert "pair_table" not in vars(copy)
+    assert dict(copy.pair_table) == dict(cfg.pair_table)
 
 
 # --- config validation -----------------------------------------------------

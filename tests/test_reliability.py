@@ -216,6 +216,24 @@ def test_code_epsilon_matches_the_object_decoder(name, e_max):
         assert ref.corrected / ref.decodings == epsilon[e - 1], (name, e)
 
 
+def test_code_params_sweeps_once_per_code(monkeypatch):
+    calls = []
+    real = reliability.sweep
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reliability, "sweep", counting)
+    reliability._epsilon.cache_clear()
+    first = code_params("4x4", DEFAULT_LAMBDA)
+    assert len(calls) == 1
+    again = code_params("4X4", 3e-4)
+    assert len(calls) == 1
+    assert again.epsilon == first.epsilon == CODESTRUCT_EPSILON["4x4"]
+    assert (again.n, again.lam) == (first.n, 3e-4)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ReliabilityParams(n=0, lam=1e-5)
