@@ -36,7 +36,7 @@ import types
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .hamming import BitVec, as_bits, min_check_bits
+from .hamming import MAX_CHECK_BITS, BitVec, as_bits, min_check_bits
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,8 @@ class AddressAssignment:
 
     @classmethod
     def from_logical(cls, logical: Sequence[int], k: int) -> "AddressAssignment":
+        if not 2 <= k <= MAX_CHECK_BITS:
+            raise ValueError(f"k must be in [2, {MAX_CHECK_BITS}], got {k}")
         logical = tuple(int(a) for a in logical)
         top = 1 << k
         inverse = [-1] * top

@@ -3,17 +3,13 @@
 Hamming codes are handled here in their XOR form rather than through
 generator/parity-check matrices: check bit j of a k-check code covers every
 data bit whose logical address has bit 2**(k-1-j) set, so the syndrome of a
-single-bit error reads back the flipped bit's address directly.  The fixed
-Ham(7,4) codec at the bottom is small enough to verify exhaustively and
-serves as a cross-check oracle for the address conventions used everywhere
-else: the 2x2 code's outer layer gives its data bits exactly Ham(7,4)'s data
-addresses, so the two must produce the same check bits.  ``as_bits`` is the
-package's one bit-sequence validator.
+single-bit error reads back the flipped bit's address directly.  The
+tests check this convention against a fixed Ham(7,4) codec, whose data
+addresses the 2x2 code's outer layer uses.  ``as_bits`` is the package's
+one bit-sequence validator.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 
 BitVec = tuple  # ordered 0/1 ints
@@ -52,42 +48,3 @@ def min_check_bits(m: int) -> int:
         k += 1
     return k
 
-
-# --- fixed Ham(7,4) reference codec -------------------------------------
-#
-# Codeword layout [d0 d1 d2 d3 c0 c1 c2]; the checks cover the data bits
-# whose addresses carry the check's weight (c0 -> 4, c1 -> 2, c2 -> 1):
-#
-#   c0 = d1 ^ d2 ^ d3        addresses 5, 6, 7
-#   c1 = d0 ^ d2 ^ d3        addresses 3, 6, 7
-#   c2 = d0 ^ d1 ^ d3        addresses 3, 5, 7
-#
-# Address -> position map (index into the 7-bit layout), 0 = no error:
-HAM74_ADDRESS_TO_POSITION = (-1, 6, 5, 0, 4, 1, 2, 3)
-
-
-def ham74_encode(data: Sequence[int]) -> tuple[int, ...]:
-    """Encode 4 data bits into a Ham(7,4) codeword [d0 d1 d2 d3 c0 c1 c2]."""
-    d = as_bits(data, 4)
-    c0 = d[1] ^ d[2] ^ d[3]
-    c1 = d[0] ^ d[2] ^ d[3]
-    c2 = d[0] ^ d[1] ^ d[3]
-    return d + (c0, c1, c2)
-
-
-def ham74_syndrome(received: Sequence[int]) -> tuple[int, int, int]:
-    """Syndrome [s0 s1 s2] of a received 7-bit word (stored XOR recomputed checks)."""
-    w = as_bits(received, 7)
-    fresh = ham74_encode(w[:4])
-    return (w[4] ^ fresh[4], w[5] ^ fresh[5], w[6] ^ fresh[6])
-
-
-def ham74_error_address(syndrome: Sequence[int]) -> int:
-    """Error address from a 3-bit syndrome; 0 means no error.
-
-    Check j carries address weight 2**(2-j), i.e. address = 4*s0 + 2*s1 + s2,
-    so a single flipped bit yields its own address: c2=1, c1=2, d0=3, c0=4,
-    d1=5, d2=6, d3=7 (see HAM74_ADDRESS_TO_POSITION).
-    """
-    s = as_bits(syndrome, 3)
-    return (s[0] << 2) | (s[1] << 1) | s[2]

@@ -5,9 +5,9 @@ bits, or the whole codestruct) is applied to an encoded word; the decoder
 runs and two counters accumulate: patterns whose syndromes flagged anything
 (detected) and patterns after which the data region equals the original
 payload (corrected).  sweep() counts both exactly from the decode ladder's
-action on each syndrome; the integer kernel in _sweep_py and
-sweep_python_reference (the object-level decoder) decode every pattern, as
-independent references.
+action on each syndrome.  The integer kernel in _sweep_py decodes every
+pattern one by one as an independent reference; the tests also compare
+sweep() with an object-level sweep through the public decoder.
 
 Two injector behaviors are supported:
 
@@ -26,21 +26,13 @@ from __future__ import annotations
 import collections
 import enum
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import _sweep_py as _kernel  # enumeration reference; benchmarks/perfbench/probes.py races it
-from .code import (
-    Codestruct,
-    OverlapConfig,
-    _ladder,
-    as_bits,
-    decode,
-    encode,
-)
+from .code import Codestruct, OverlapConfig, _ladder, as_bits, encode
 
 
 def __getattr__(name: str):  # sweeps start no pool: only benchmarks/perfbench/tracing.py asks
@@ -84,28 +76,6 @@ class Region(enum.Enum):
     def size(self, m: int, n: int) -> int:
         lo, hi = self.bounds(m, n)
         return hi - lo
-
-
-def enumerate_patterns(region_size: int, e: int) -> Iterator[tuple]:
-    """All strictly-increasing position tuples of weight e, lexicographic."""
-    if not 0 <= e <= region_size:
-        raise ValueError(f"need 0 <= e <= {region_size}, got {e}")
-    return itertools.combinations(range(region_size), e)
-
-
-def apply_pattern(cs: Codestruct, pattern: Sequence[int], region: Region) -> Codestruct:
-    """Copy of cs with the region-relative pattern positions flipped (XOR)."""
-    m = len(cs.data)
-    k = len(cs.co)
-    n = m + 2 * (k + 1)
-    lo, hi = region.bounds(m, n)
-    bits = list(cs.bits())
-    for p in pattern:
-        pos = lo + p
-        if not lo <= pos < hi:
-            raise ValueError(f"pattern position {p} outside {region.value} region")
-        bits[pos] ^= 1
-    return Codestruct.from_bits(bits, m, k)
 
 
 @dataclass(frozen=True)
@@ -266,37 +236,3 @@ def sweep(cfg: OverlapConfig, region: Region, e_min: int, e_max: int,
                         detected=math.comb(size, e) - _meet(data_part, check_part, e))
             for e in range(e_min, e_max + 1)]
 
-
-def sweep_python_reference(cfg: OverlapConfig, region: Region, e: int,
-                           payload=None, injector: str = "mirror") -> SweepReport:
-    """Slow object-level sweep through the public decoder, for cross-checking.
-
-    Applies each pattern with apply_pattern semantics (plus the mirror
-    adjustment when asked), runs decode(), and compares data.  Used by tests
-    to validate sweep(); unusable for large sweeps.
-    """
-    data = (0,) * cfg.m if payload is None else as_bits(payload, cfg.m)
-    clean = encode(cfg, data)
-    size = region.size(cfg.m, cfg.n)
-    base, _hi = region.bounds(cfg.m, cfg.n)
-    corrected = 0
-    detected = 0
-    total = 0
-    for pattern in enumerate_patterns(size, e):
-        corrupted = apply_pattern(clean, pattern, region)
-        if injector == "mirror":
-            bits = list(corrupted.bits())
-            for p in pattern:
-                pos = base + p
-                if cfg.ci_start <= pos < cfg.ci_start + cfg.k:
-                    j = pos - cfg.ci_start
-                    bits[pos] = 1 ^ bits[cfg.co_start + j]
-            corrupted = Codestruct.from_bits(bits, cfg.m, cfg.k)
-        out = decode(cfg, corrupted)
-        total += 1
-        if out.detected:
-            detected += 1
-        if out.data == clean.data:
-            corrected += 1
-    return SweepReport(code=cfg.name, region=region, errors=e,
-                       decodings=total, corrected=corrected, detected=detected)

@@ -13,18 +13,17 @@ only when the count lands inside that window and the decoder misses:
 
     r(t) = 1 - sum_{i=1..sigma} P_i(t) * (1 - epsilon_i)
 
-Counts beyond sigma are outside the modelled window and are not charged;
-the curve is therefore an optimistic finite-window estimate whose
-fidelity degrades once P(count > sigma) stops being negligible.  For the
-builtin codes over a 20,000-day horizon at the default rate that tail
-stays small.
+reliability_at and reliability_curve both evaluate it with _reliability.
+Counts beyond sigma are outside the modelled window and are not charged,
+so the curve is an optimistic estimate once P(count > sigma) stops being
+negligible; for the builtin codes at the default rate it stays small
+over a 20,000-day horizon.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 from .code import builtin_config
@@ -85,51 +84,31 @@ def _epsilon(name: str) -> tuple:
     return tuple(r.corrected / r.decodings for r in reports)
 
 
-def _log_binom(n: int, i: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+def _miss_terms(params: ReliabilityParams) -> list:
+    """r's t-independent part: each modelled (i, log C(n,i), 1 - epsilon_i)."""
+    n, log_n = params.n, math.lgamma(params.n + 1)
+    return [(i, log_n - math.lgamma(i + 1) - math.lgamma(n - i + 1), 1.0 - e)
+            for i, e in enumerate(params.epsilon, 1)]
 
 
-def _binomial_pmf(n: int, lam: float, t: float, counts) -> list:
-    """C(n,i) p^i (1-p)^(n-i) for each (i, log C(n,i)) in counts, p = 1 - e^(-lam*t).
+def _reliability(params: ReliabilityParams, terms: list, t: float) -> float:
+    """1 - sum of P_i(t) (1 - epsilon_i) over terms, clamped to [0, 1].
 
-    Evaluated in log space (log-gamma binomial coefficient) so large n
-    cannot overflow; 1-p is e^(-lam*t) exactly, which keeps the tail
-    accurate for tiny p.
+    P_i = C(n,i) p^i (1-p)^(n-i), p = 1 - e^(-lam*t), is evaluated in log
+    space so large n cannot overflow; 1-p is e^(-lam*t) exactly, which
+    keeps the tail accurate for tiny p.
     """
     if not t >= 0:
         raise ValueError("t must be >= 0")
-    lt = lam * t
+    n, lt = params.n, params.lam * t
     p = -math.expm1(-lt)
-    if p == 0.0 or p == 1.0:
+    if p == 0.0 or p == 1.0:  # one count is certain: none, or all n
         whole = 0 if p == 0.0 else n
-        return [1.0 if i == whole else 0.0 for i, _ in counts]
-    log_p = math.log(p)
-    return [math.exp(log_c + i * log_p - lt * (n - i)) for i, log_c in counts]
-
-
-def p_i_errors(n: int, i: int, lam: float, t: float) -> float:
-    """P(exactly i of n bits flipped by day t) = C(n,i) p^i (1-p)^(n-i)."""
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    return _binomial_pmf(n, lam, t, [(i, _log_binom(n, i))])[0]
-
-
-def masked_probability(params: ReliabilityParams, t: float) -> float:
-    """P(errors accumulated by day t but the decoder fully masked them)."""
-    counts, _ = _miss_terms(params)
-    return sum(map(operator.mul, _binomial_pmf(params.n, params.lam, t, counts),
-                   params.epsilon))
-
-
-def _miss_terms(params: ReliabilityParams) -> tuple:
-    """r's t-independent part: each modelled (i, log C(n,i)), and 1 - epsilon_i."""
-    counts = [(i, _log_binom(params.n, i)) for i in range(1, params.sigma + 1)]
-    return counts, [1.0 - e for e in params.epsilon]
-
-
-def _reliability(params: ReliabilityParams, terms: tuple, t: float) -> float:
-    counts, misses = terms
-    miss = sum(map(operator.mul, _binomial_pmf(params.n, params.lam, t, counts), misses))
+        miss = sum(miss_i for i, _, miss_i in terms if i == whole)
+    else:
+        log_p = math.log(p)
+        miss = sum(math.exp(log_c + i * log_p - lt * (n - i)) * miss_i
+                   for i, log_c, miss_i in terms)
     return min(1.0, max(0.0, 1.0 - miss))
 
 

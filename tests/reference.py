@@ -1,16 +1,20 @@
 """Independent reference implementations that tests compare the package against.
 
-Each oracle here is a slower, plainer version of a package routine, kept
-unchanged so that a rewrite of the routine is checked against the code it
-replaced.
+Each oracle here is a slower, plainer version of a package routine, or a
+fixed textbook codec, kept unchanged so that a rewrite of the routine is
+checked against the code it replaced.  None of them ships in the package.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from typing import Iterator, Sequence
 
-from overlap_ecc.hamming import min_check_bits
+from overlap_ecc.code import Codestruct, OverlapConfig, decode, encode
+from overlap_ecc.hamming import as_bits, min_check_bits
+from overlap_ecc.injection import Region, SweepReport
 from overlap_ecc.reliability import ReliabilityParams
 from overlap_ecc.search import SearchNotFoundError, SearchResult, available_addresses
 
@@ -92,3 +96,102 @@ def reliability_at_reference(params: ReliabilityParams, t: float) -> float:
 
     miss = sum(p_i(i) * (1.0 - params.epsilon[i - 1]) for i in range(1, params.sigma + 1))
     return min(1.0, max(0.0, 1.0 - miss))
+
+
+# --- fixed Ham(7,4) reference codec -------------------------------------
+#
+# Codeword layout [d0 d1 d2 d3 c0 c1 c2]; the checks cover the data bits
+# whose addresses carry the check's weight (c0 -> 4, c1 -> 2, c2 -> 1):
+#
+#   c0 = d1 ^ d2 ^ d3        addresses 5, 6, 7
+#   c1 = d0 ^ d2 ^ d3        addresses 3, 6, 7
+#   c2 = d0 ^ d1 ^ d3        addresses 3, 5, 7
+#
+# Address -> position map (index into the 7-bit layout), 0 = no error:
+HAM74_ADDRESS_TO_POSITION = (-1, 6, 5, 0, 4, 1, 2, 3)
+
+
+def ham74_encode(data: Sequence[int]) -> tuple[int, ...]:
+    """Encode 4 data bits into a Ham(7,4) codeword [d0 d1 d2 d3 c0 c1 c2]."""
+    d = as_bits(data, 4)
+    c0 = d[1] ^ d[2] ^ d[3]
+    c1 = d[0] ^ d[2] ^ d[3]
+    c2 = d[0] ^ d[1] ^ d[3]
+    return d + (c0, c1, c2)
+
+
+def ham74_syndrome(received: Sequence[int]) -> tuple[int, int, int]:
+    """Syndrome [s0 s1 s2] of a received 7-bit word (stored XOR recomputed checks)."""
+    w = as_bits(received, 7)
+    fresh = ham74_encode(w[:4])
+    return (w[4] ^ fresh[4], w[5] ^ fresh[5], w[6] ^ fresh[6])
+
+
+def ham74_error_address(syndrome: Sequence[int]) -> int:
+    """Error address from a 3-bit syndrome; 0 means no error.
+
+    Check j carries address weight 2**(2-j), i.e. address = 4*s0 + 2*s1 + s2,
+    so a single flipped bit yields its own address: c2=1, c1=2, d0=3, c0=4,
+    d1=5, d2=6, d3=7 (see HAM74_ADDRESS_TO_POSITION).
+    """
+    s = as_bits(syndrome, 3)
+    return (s[0] << 2) | (s[1] << 1) | s[2]
+
+
+# --- object-level sweep reference ------------------------------------------
+
+def enumerate_patterns(region_size: int, e: int) -> Iterator[tuple]:
+    """All strictly-increasing position tuples of weight e, lexicographic."""
+    if not 0 <= e <= region_size:
+        raise ValueError(f"need 0 <= e <= {region_size}, got {e}")
+    return itertools.combinations(range(region_size), e)
+
+
+def apply_pattern(cs: Codestruct, pattern: Sequence[int], region: Region) -> Codestruct:
+    """Copy of cs with the region-relative pattern positions flipped (XOR)."""
+    m = len(cs.data)
+    k = len(cs.co)
+    n = m + 2 * (k + 1)
+    lo, hi = region.bounds(m, n)
+    bits = list(cs.bits())
+    for p in pattern:
+        pos = lo + p
+        if not lo <= pos < hi:
+            raise ValueError(f"pattern position {p} outside {region.value} region")
+        bits[pos] ^= 1
+    return Codestruct.from_bits(bits, m, k)
+
+
+def sweep_python_reference(cfg: OverlapConfig, region: Region, e: int,
+                           payload=None, injector: str = "mirror") -> SweepReport:
+    """Slow object-level sweep through the public decoder, for cross-checking.
+
+    Applies each pattern with apply_pattern semantics (plus the mirror
+    adjustment when asked), runs decode(), and compares data.  Used by tests
+    to validate sweep(); unusable for large sweeps.
+    """
+    data = (0,) * cfg.m if payload is None else as_bits(payload, cfg.m)
+    clean = encode(cfg, data)
+    size = region.size(cfg.m, cfg.n)
+    base, _hi = region.bounds(cfg.m, cfg.n)
+    corrected = 0
+    detected = 0
+    total = 0
+    for pattern in enumerate_patterns(size, e):
+        corrupted = apply_pattern(clean, pattern, region)
+        if injector == "mirror":
+            bits = list(corrupted.bits())
+            for p in pattern:
+                pos = base + p
+                if cfg.ci_start <= pos < cfg.ci_start + cfg.k:
+                    j = pos - cfg.ci_start
+                    bits[pos] = 1 ^ bits[cfg.co_start + j]
+            corrupted = Codestruct.from_bits(bits, cfg.m, cfg.k)
+        out = decode(cfg, corrupted)
+        total += 1
+        if out.detected:
+            detected += 1
+        if out.data == clean.data:
+            corrected += 1
+    return SweepReport(code=cfg.name, region=region, errors=e,
+                       decodings=total, corrected=corrected, detected=detected)

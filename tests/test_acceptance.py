@@ -18,16 +18,18 @@ import time
 
 import numpy as np
 import pytest
-
-from overlap_ecc.code import builtin_config, decode, encode
-from overlap_ecc.hamming import (
+from reference import (
     HAM74_ADDRESS_TO_POSITION,
+    apply_pattern,
+    enumerate_patterns,
     ham74_encode,
     ham74_error_address,
     ham74_syndrome,
 )
-from overlap_ecc.injection import Region, apply_pattern, enumerate_patterns, sweep
-from overlap_ecc.reliability import ReliabilityParams, masked_probability, reliability_at
+
+from overlap_ecc.code import builtin_config, decode, encode
+from overlap_ecc.injection import Region, sweep
+from overlap_ecc.reliability import ReliabilityParams, reliability_at
 from overlap_ecc.scalability import baseline_costs, comparison_to_csv, overlapped_cost
 from overlap_ecc.search import validate_assignment
 
@@ -226,9 +228,9 @@ def test_criterion_07_reliability_anchors():
         counts = rng.binomial(params.n, p, size=10**6)
         z = np.zeros(counts.size)
         for i in range(1, params.sigma + 1):
-            z[counts == i] = params.epsilon[i - 1]
+            z[counts == i] = 1.0 - params.epsilon[i - 1]
         mc, se = float(z.mean()), float(z.std(ddof=1) / math.sqrt(counts.size))
-        analytic = masked_probability(params, t)
+        analytic = 1.0 - reliability_at(params, t)
         assert abs(analytic - mc) <= 3 * se, (t, analytic, mc, se)
     print(f"criterion 7: PASS - r(20000) anchors {r_2x2:.4f} / {r_4x4:.4f}, "
           "Monte-Carlo agreement within 3 sigma at t=1000 and t=10000")

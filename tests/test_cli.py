@@ -217,6 +217,13 @@ def test_verify_builtin_ok(capsys):
     assert "ok" in out and "36 unique composite keys" in out
 
 
+def test_verify_report_is_golden(capsys):
+    code, out, _ = run(capsys, "verify-maps", "--builtin", "4x4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "ccee081c0f81a860026702f5f5b92db200505c1fa3ba11b3d6adf0330f2629bf"
+
+
 def test_verify_collision_exits_2(capsys, tmp_path):
     bad = tmp_path / "maps.json"
     addrs = [3, 5, 6, 7, 9, 10, 11, 12, 13]
@@ -333,6 +340,13 @@ def test_scalability_table(capsys):
     code, out, err = run(capsys, "scalability", "--max", "1")
     assert code == 1 and out == ""
     assert err.startswith("error: Invalid value for '--max'")
+
+
+def test_scalability_report_is_golden(capsys):
+    code, out, _ = run(capsys, "scalability", "--max", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e5d1b0652b200706102254c04502ea024d932923bd6eba72531803eb2927f92f"
 
 
 def test_scalability_beyond_baselines(capsys):

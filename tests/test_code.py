@@ -24,6 +24,7 @@ from overlap_ecc.code import (
     encode,
     syndrome_contributions,
 )
+from overlap_ecc.hamming import MAX_CHECK_BITS
 from overlap_ecc.injection import Region, build_sweep_tables, sweep
 from overlap_ecc.search import search_assignment
 
@@ -397,6 +398,14 @@ def test_assignment_rejects_bad_addresses():
         AddressAssignment.from_logical((3, 5, 6, 3), k=3)  # reused
     with pytest.raises(ValueError):
         AddressAssignment.from_logical((3, 5, 6, 9), k=3)  # out of range
+    for k in (1, 17):  # checked before the 2**k inverse table is allocated
+        with pytest.raises(ValueError, match=rf"^k must be in \[2, 16\], got {k}$"):
+            AddressAssignment.from_logical((3, 5, 6), k=k)
+
+
+def test_assignment_accepts_the_widest_k():
+    wide = AddressAssignment.from_logical((3, 5, 6), k=MAX_CHECK_BITS)
+    assert len(wide.physical_of_logical) == 1 << MAX_CHECK_BITS
 
 
 def test_config_rejects_mismatched_layers():

@@ -1,15 +1,15 @@
 """Checks for the shared Hamming building blocks and the Ham(7,4) oracle."""
 
 import pytest
-
-from overlap_ecc.code import builtin_config, encode
-from overlap_ecc.hamming import (
+from reference import (
     HAM74_ADDRESS_TO_POSITION,
     ham74_encode,
     ham74_error_address,
     ham74_syndrome,
-    min_check_bits,
 )
+
+from overlap_ecc.code import builtin_config, encode
+from overlap_ecc.hamming import min_check_bits
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (4, 3), (9, 4), (11, 4), (16, 5),

@@ -5,19 +5,17 @@ import math
 import random
 
 import pytest
+from reference import apply_pattern, enumerate_patterns, sweep_python_reference
 
 from overlap_ecc import _sweep_py
 from overlap_ecc.code import BUILTIN_NAMES, Codestruct, builtin_config, decode, encode
 from overlap_ecc.injection import (
     Region,
-    apply_pattern,
     build_sweep_tables,
-    enumerate_patterns,
     payload_diff_field,
     reports_to_csv,
     reports_to_json_obj,
     sweep,
-    sweep_python_reference,
 )
 from overlap_ecc.search import search_assignment
 

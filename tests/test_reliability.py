@@ -1,103 +1,111 @@
-"""Reliability model: closed-form binomials against a Monte-Carlo oracle."""
+"""Reliability model: the closed form against a Monte-Carlo oracle."""
 
 import math
 
 import numpy as np
 import pytest
-from reference import reliability_at_reference
+from reference import reliability_at_reference, sweep_python_reference
 
 from overlap_ecc import reliability
 from overlap_ecc.code import BUILTIN_NAMES, builtin_config
-from overlap_ecc.injection import Region, sweep_python_reference
+from overlap_ecc.injection import Region
 from overlap_ecc.reliability import (
     DEFAULT_LAMBDA,
     MAX_SAMPLES,
     ReliabilityParams,
     code_params,
     curve_to_csv,
-    masked_probability,
-    p_i_errors,
     reliability_at,
     reliability_curve,
 )
 
 
-def mc_masked(params: ReliabilityParams, t: float, trials: int, seed: int):
-    """Monte-Carlo estimate of the masked-error probability.
+def mc_miss(params: ReliabilityParams, t: float, trials: int, seed: int):
+    """Monte-Carlo estimate of the miss probability 1 - r(t).
 
-    Samples the per-bit Bernoulli failure count and pays epsilon when the
-    count lands in the modelled 1..sigma window.  Returns (mean, std-error).
+    Samples the per-bit Bernoulli failure count and pays 1 - epsilon when
+    the count lands in the modelled 1..sigma window.  Returns (mean,
+    std-error).
     """
     p = -math.expm1(-params.lam * t)
     rng = np.random.default_rng(seed)
     counts = rng.binomial(params.n, p, size=trials)
     z = np.zeros(trials)
     for i in range(1, params.sigma + 1):
-        z[counts == i] = params.epsilon[i - 1]
+        z[counts == i] = 1.0 - params.epsilon[i - 1]
     return float(z.mean()), float(z.std(ddof=1) / math.sqrt(trials))
 
 
-# --- binomial term -----------------------------------------------------------
+# --- binomial terms P_i(t), read through r --------------------------------
+#
+# With epsilon = 0 over the full window (sigma = n), r = 1 - sum_{i>=1} P_i,
+# which is P_0 = e^(-lam t n) exactly when the binomial terms sum to 1.
+
+def uncorrected(n: int, lam: float, sigma: int | None = None) -> ReliabilityParams:
+    return ReliabilityParams(n=n, lam=lam, epsilon=(0.0,) * (n if sigma is None else sigma))
+
 
 def test_p_i_errors_at_t0():
-    assert p_i_errors(12, 0, 1e-5, 0) == 1.0
-    assert p_i_errors(12, 3, 1e-5, 0) == 0.0
+    # every P_i(0), i >= 1, is exactly 0, so P_0(0) = 1
+    assert reliability_at(uncorrected(12, 1e-5), 0) == 1.0
 
 
 def test_p_i_errors_normalizes():
     for n, lam, t in ((12, 1e-5, 7777), (28, 1e-5, 20000), (200, 3e-4, 1234)):
-        assert math.isclose(sum(p_i_errors(n, i, lam, t) for i in range(n + 1)),
-                            1.0, rel_tol=1e-9)
+        assert math.isclose(reliability_at(uncorrected(n, lam), t), math.exp(-lam * t * n),
+                            rel_tol=0, abs_tol=1e-9), (n, lam, t)
 
 
 def test_per_bit_failure_probability():
-    # n=1: P(1 error) is the per-bit failure probability 1 - e^(-lam t)
-    assert math.isclose(p_i_errors(1, 1, 1e-5, 10000), -math.expm1(-0.1),
+    # n=1: r is one minus the per-bit failure probability 1 - e^(-lam t)
+    assert math.isclose(reliability_at(uncorrected(1, 1e-5), 10000), math.exp(-0.1),
                         rel_tol=1e-12)
 
 
 def test_p_i_errors_large_n_stays_finite():
-    v = p_i_errors(10**6, 500, 1e-9, 1000.0)
-    assert 0.0 <= v <= 1.0 and math.isfinite(v)
+    # lam t n = 1: counts past sigma = 500 are negligible, so r is P_0 = e^-1
+    r = reliability_at(uncorrected(10**6, 1e-9, sigma=500), 1000.0)
+    assert 0.0 <= r <= 1.0 and math.isfinite(r)
+    assert math.isclose(r, math.exp(-1.0), rel_tol=0, abs_tol=1e-9)
 
 
 def test_p_i_errors_validation():
-    with pytest.raises(ValueError):
-        p_i_errors(5, 6, 1e-5, 10)
-    with pytest.raises(ValueError):
-        p_i_errors(5, -1, 1e-5, 10)
-    with pytest.raises(ValueError):
-        p_i_errors(5, 1, 1e-5, -1)
+    # sigma > n, a count past the word, is checked in test_params_validation
+    for t in (-1, -1e-300, math.nan):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            reliability_at(uncorrected(5, 1e-5), t)
 
 
-# --- masked probability vs Monte-Carlo ---------------------------------------
+# --- miss probability vs Monte-Carlo -----------------------------------------
 
 @pytest.mark.parametrize("t", [1000, 10000])
-def test_masked_probability_within_3_sigma_of_monte_carlo(t):
+def test_miss_probability_within_3_sigma_of_monte_carlo(t):
     params = code_params("3x3")
-    analytic = masked_probability(params, t)
-    mean, se = mc_masked(params, t, trials=10**6, seed=20260816 + t)
+    analytic = 1.0 - reliability_at(params, t)
+    mean, se = mc_miss(params, t, trials=10**6, seed=20260816 + t)
     assert abs(analytic - mean) <= 3 * se
 
 
 def test_masked_probability_degenerate_profiles():
     base = code_params("3x3")
     zero = ReliabilityParams(n=base.n, lam=base.lam, epsilon=(0.0,) * 8)
-    assert masked_probability(zero, 5000) == 0.0
+    one = ReliabilityParams(n=base.n, lam=base.lam, epsilon=(1.0,) * 8)
     two = ReliabilityParams(n=base.n, lam=base.lam,
                             epsilon=(1.0, 1.0, 0, 0, 0, 0, 0, 0))
-    expect = (p_i_errors(base.n, 1, base.lam, 5000)
-              + p_i_errors(base.n, 2, base.lam, 5000))
-    assert math.isclose(masked_probability(two, 5000), expect, rel_tol=1e-12)
+    n, t = base.n, 5000
+    assert reliability_at(one, t) == 1.0  # every modelled count masked
+    # masking counts 1 and 2 saves exactly P_1 + P_2
+    p = -math.expm1(-base.lam * t)
+    expect = n * p * (1 - p) ** (n - 1) + math.comb(n, 2) * p**2 * (1 - p) ** (n - 2)
+    assert math.isclose(reliability_at(two, t) - reliability_at(zero, t), expect,
+                        rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_masked_probability_is_the_per_count_sum_exactly(name):
+def test_reliability_is_the_per_count_sum_exactly(name):
     params = code_params(name)
     for t in (0, 1, 1e3, 5e3, 1e4, 2e4, 1e6):
-        want = sum(p_i_errors(params.n, i, params.lam, t) * params.epsilon[i - 1]
-                   for i in range(1, params.sigma + 1))
-        assert masked_probability(params, t) == want, (name, t)
+        assert reliability_at(params, t) == reliability_at_reference(params, t), (name, t)
 
 
 # --- reliability ----------------------------------------------------------
@@ -250,7 +258,7 @@ def test_params_validation():
         with pytest.raises(ValueError):
             reliability_curve(params, t_max, step)
     with pytest.raises(ValueError):
-        masked_probability(params, math.nan)
+        reliability_at(params, math.nan)
 
 
 def test_curve_sample_cap_is_exact(monkeypatch):
