@@ -11,7 +11,6 @@ one CLI (``overlap-ecc``).
 __version__ = "0.1.0"
 
 from .code import (
-    AddressAssignment,
     BUILTIN_NAMES,
     Codestruct,
     DecodeAction,
@@ -27,7 +26,6 @@ from .scalability import baseline_costs, compare, overlapped_cost
 from .search import SearchNotFoundError, search_assignment, validate_assignment
 
 __all__ = [
-    "AddressAssignment",
     "BUILTIN_NAMES",
     "Codestruct",
     "DecodeAction",

@@ -22,8 +22,8 @@ import click
 from . import __version__
 from .code import (
     BUILTIN_NAMES,
-    AddressAssignment,
     Codestruct,
+    OverlapConfig,
     builtin_config,
     decode as decode_word,
     encode as encode_word,
@@ -76,9 +76,10 @@ def _parse_error_range(spec: str) -> tuple:
     return e_min, e_max
 
 
-def _load_maps(path: str) -> tuple:
-    """Both layers of a JSON maps file: "outer" and "inner" address lists
-    plus an optional "k", else the smallest k that holds every address."""
+def _load_maps(path: str) -> OverlapConfig:
+    """A JSON maps file as a one-row config named after the file: "outer"
+    and "inner" address lists plus an optional "k", else the smallest k
+    that holds every address."""
     try:
         obj = json.loads(Path(path).read_text())
         layers = [obj["outer"], obj["inner"]]
@@ -89,7 +90,8 @@ def _load_maps(path: str) -> tuple:
     k = obj.get("k", max(2, *(max(a).bit_length() for a in layers)))
     if type(k) is not int or not 2 <= k <= MAX_CHECK_BITS:
         raise ValueError(f"{path}: k must be an integer in [2, {MAX_CHECK_BITS}], got {k!r}")
-    return tuple(AddressAssignment.from_logical(a, k) for a in layers)
+    return OverlapConfig(name=path, rows=1, cols=len(layers[0]), k=k,
+                         outer=layers[0], inner=layers[1])
 
 
 @click.group()
@@ -202,19 +204,15 @@ def cmd_verify_maps(ctx, name, path, out):
     """Check an assignment pair for composite-key collisions."""
     if (name is None) == (path is None):
         raise click.UsageError("pass exactly one of --builtin or --file")
-    if name:
-        cfg = builtin_config(name)
-        outer, inner, label = cfg.outer, cfg.inner, name
-    else:
-        outer, inner, label = *_load_maps(path), path
-    report = validate_assignment(outer, inner)
-    m = len(outer)
+    cfg = builtin_config(name) if name else _load_maps(path)
+    report = validate_assignment(cfg.outer, cfg.inner)
+    m = cfg.m
     lines = []
     if report.ok:
-        lines.append(f"ok: {label}: {m * (m - 1) // 2} unique composite keys "
+        lines.append(f"ok: {cfg.name}: {m * (m - 1) // 2} unique composite keys "
                      f"over {m} data bits")
     else:
-        lines.append(f"invalid: {label}: {len(report.collisions)} composite-key "
+        lines.append(f"invalid: {cfg.name}: {len(report.collisions)} composite-key "
                      f"collision(s)")
         for first, second, key in report.collisions:
             lines.append(f"  positions {first} and {second} share key "

@@ -6,7 +6,10 @@ logical Hamming address, and the two layers use *different* address
 permutations.  A single data error is corrected by either layer alone; a
 pair of data errors produces the XOR of the two addresses in each layer, and
 because the permutations differ, the composite (outer, inner) address pair
-identifies the error pair uniquely via a precomputed table.
+identifies the error pair uniquely via a precomputed table.  That every
+data pair has its own composite key is checked by one scan,
+scan_composite_keys, which the pair table and search.validate_assignment
+share.
 
 Serialized codestruct layout (used by fault injection and the hex/JSON text
 forms), for m data bits and k check bits per layer:
@@ -17,14 +20,16 @@ forms), for m data bits and k check bits per layer:
     [m+k+1, m+2k+1)     inner check bits ci
     m+2k+1              inner parity pi
 
-Two tables drive the codec, and each OverlapConfig instance holds its
+Three tables drive the codec, and each OverlapConfig instance holds its
 own, built on first use.  Each position's packed syndrome contribution
 (OverlapConfig.contributions, from syndrome_contributions) makes a word's
 syndrome one XOR fold, which encode and decode share.  The composite
 pair table (OverlapConfig.pair_table, from build_double_error_table)
-resolves double data errors; the decode ladder reads it for the one
-syndrome a word presents.  Check bits are never corrected: they are
-recomputable from corrected data, so only the data region is repaired.
+resolves double data errors, and the per-layer inverse maps
+(OverlapConfig.position_of) resolve single ones; the decode ladder reads
+them for the one syndrome a word presents.  Check bits are never
+corrected: they are recomputable from corrected data, so only the data
+region is repaired.
 """
 
 from __future__ import annotations
@@ -36,43 +41,7 @@ import types
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .hamming import MAX_CHECK_BITS, BitVec, as_bits, min_check_bits
-
-
-@dataclass(frozen=True)
-class AddressAssignment:
-    """Logical-address permutation of one layer.
-
-    ``logical_of_physical[p]`` is the Hamming address of data position p;
-    ``physical_of_logical`` is the inverse lookup (length 2**k, -1 for
-    address 0, the power-of-two check addresses and any spare addresses).
-    """
-
-    k: int
-    logical_of_physical: BitVec
-    physical_of_logical: BitVec
-
-    @classmethod
-    def from_logical(cls, logical: Sequence[int], k: int) -> "AddressAssignment":
-        if not 2 <= k <= MAX_CHECK_BITS:
-            raise ValueError(f"k must be in [2, {MAX_CHECK_BITS}], got {k}")
-        logical = tuple(int(a) for a in logical)
-        top = 1 << k
-        inverse = [-1] * top
-        for pos, addr in enumerate(logical):
-            if not 3 <= addr < top or addr & (addr - 1) == 0:
-                raise ValueError(
-                    f"address {addr} at position {pos} is not a usable data "
-                    f"address for k={k} (must be in [3, {top - 1}] and not a "
-                    f"power of two)"
-                )
-            if inverse[addr] != -1:
-                raise ValueError(f"address {addr} assigned twice")
-            inverse[addr] = pos
-        return cls(k=k, logical_of_physical=logical, physical_of_logical=tuple(inverse))
-
-    def __len__(self) -> int:
-        return len(self.logical_of_physical)
+from .hamming import BitVec, as_bits, is_data_address, require_k
 
 
 #: decode-ladder profiles supported by :func:`decode` (see its docstring).
@@ -87,9 +56,30 @@ _DIGIT_OF_BIT = b"01" + b"?" * 254
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
+def _checked_layer(layer: Iterable[int], m: int, k: int) -> tuple:
+    """A layer's map as a tuple of ints, once it is m distinct usable addresses for k."""
+    layer = tuple(map(operator.index, layer))
+    if len(layer) != m:
+        raise ValueError(f"both layers must assign every data position: want {m} "
+                         f"addresses, got {len(layer)}")
+    seen = set()
+    for pos, addr in enumerate(layer):
+        if not is_data_address(addr, k):
+            raise ValueError(f"address {addr} at position {pos} is not a usable data address "
+                             f"for k={k} (must be in [3, {(1 << k) - 1}] and not a power of two)")
+        if addr in seen:
+            raise ValueError(f"address {addr} assigned twice")
+        seen.add(addr)
+    return layer
+
+
 @dataclass(frozen=True)
 class OverlapConfig:
-    """Geometry plus the two address assignments; everything else derives.
+    """Geometry, check-bit count and the two address maps; everything else derives.
+
+    ``outer[p]`` and ``inner[p]`` are data position p's address in each
+    layer; construction rejects a map that is not m distinct usable
+    addresses for k.  Composite keys are checked when pair_table is built.
 
     ``decode_profile`` selects the branch order of the decoder ladder:
     ``"single_first"`` (default) tries the per-layer single-error fixes
@@ -107,18 +97,17 @@ class OverlapConfig:
     name: str
     rows: int
     cols: int
-    outer: AddressAssignment
-    inner: AddressAssignment
+    k: int
+    outer: tuple
+    inner: tuple
     decode_profile: str = "single_first"
 
     def __post_init__(self):
-        m = self.rows * self.cols
-        if len(self.outer) != m or len(self.inner) != m:
-            raise ValueError("both layers must assign every data position")
-        if self.outer.k != self.inner.k:
-            raise ValueError("layers must use the same check-bit count")
-        if self.k < min_check_bits(m):
-            raise ValueError(f"k={self.k} cannot address {m} data bits")
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError("rows and cols must be >= 1")
+        require_k(self.k)
+        for layer in ("outer", "inner"):
+            object.__setattr__(self, layer, _checked_layer(getattr(self, layer), self.m, self.k))
         if self.decode_profile not in DECODE_PROFILES:
             raise ValueError(f"unknown decode profile {self.decode_profile!r}; "
                              f"expected one of {DECODE_PROFILES}")
@@ -126,10 +115,6 @@ class OverlapConfig:
     @functools.cached_property
     def m(self) -> int:
         return self.rows * self.cols
-
-    @functools.cached_property
-    def k(self) -> int:
-        return self.outer.k
 
     @functools.cached_property
     def n(self) -> int:
@@ -144,6 +129,15 @@ class OverlapConfig:
     def pair_table(self) -> Mapping:
         """build_double_error_table on first use: a colliding map raises at every decode."""
         return build_double_error_table(self)
+
+    @functools.cached_property
+    def position_of(self) -> tuple:
+        """(outer, inner): each layer's data position of all 2**k addresses, -1 if none."""
+        tables = ([-1] * (1 << self.k), [-1] * (1 << self.k))
+        for table, layer in zip(tables, (self.outer, self.inner)):
+            for pos, a in enumerate(layer):
+                table[a] = pos
+        return tuple(map(tuple, tables))
 
     def __getstate__(self) -> dict:  # pickle the fields; the cached tables rebuild
         return {f: self.__dict__[f] for f in self.__dataclass_fields__}
@@ -246,25 +240,32 @@ class DecodeOutcome:
     action: DecodeAction | None
 
 
+def scan_composite_keys(outer: Sequence[int], inner: Sequence[int]) -> tuple:
+    """(entries, collisions) over the keys (outer[a] ^ outer[b], inner[a] ^ inner[b])
+    of every data pair a < b: entries maps a key to its first pair, and
+    collisions lists (first pair, later pair, key) for each repeat."""
+    entries = {}
+    collisions = []
+    for a in range(len(outer)):
+        for b in range(a + 1, len(outer)):
+            key = (outer[a] ^ outer[b], inner[a] ^ inner[b])
+            if key in entries:
+                collisions.append((entries[key], (a, b), key))
+            else:
+                entries[key] = (a, b)
+    return entries, collisions
+
+
 def build_double_error_table(cfg: OverlapConfig) -> Mapping:
     """Composite-address table over all C(m,2) data pairs; raises on collision.
 
-    Every unordered data pair {a, b} is keyed by
-    (lo(a) XOR lo(b), li(a) XOR li(b)); valid assignments make these keys
-    unique.  OverlapConfig.pair_table keeps it, so it is returned read-only.
+    OverlapConfig.pair_table keeps it, so it is returned read-only.
     """
-    lo = cfg.outer.logical_of_physical
-    li = cfg.inner.logical_of_physical
-    entries = {}
-    for a in range(cfg.m):
-        for b in range(a + 1, cfg.m):
-            key = (lo[a] ^ lo[b], li[a] ^ li[b])
-            if key in entries:
-                raise ValueError(
-                    f"composite address collision: pairs {entries[key]} and "
-                    f"{(a, b)} both map to {key}"
-                )
-            entries[key] = (a, b)
+    entries, collisions = scan_composite_keys(cfg.outer, cfg.inner)
+    if collisions:
+        first, second, key = collisions[0]
+        raise ValueError(f"composite address collision: pairs {first} and "
+                         f"{second} both map to {key}")
     return types.MappingProxyType(entries)
 
 
@@ -281,8 +282,8 @@ def syndrome_contributions(cfg: OverlapConfig) -> tuple:
     k = cfg.k
     own = [(1 << (k - j)) | 1 for j in range(k)] + [1]  # a layer's check bits, then parity
     other = [0] * (k + 1)  # the other layer's check and parity bits
-    outer = [(a << 1) | 1 for a in cfg.outer.logical_of_physical] + own + other
-    inner = [(a << 1) | 1 for a in cfg.inner.logical_of_physical] + other + own
+    outer = [(a << 1) | 1 for a in cfg.outer] + own + other
+    inner = [(a << 1) | 1 for a in cfg.inner] + other + own
     return tuple((o << (k + 1)) | i for o, i in zip(outer, inner))
 
 
@@ -321,8 +322,9 @@ def _stored_syndrome(cfg: OverlapConfig, cs: Codestruct) -> int:
 _action = functools.lru_cache(maxsize=None)(DecodeAction)  # one instance per distinct action
 
 
-def _ladder(cfg: OverlapConfig, pairs: Mapping, s: int) -> DecodeAction | None:
+def _ladder(cfg: OverlapConfig, s: int) -> DecodeAction | None:
     """The decode ladder for packed syndrome s; None for a clean word; see decode()."""
+    pairs = cfg.pair_table  # read first, so a colliding map raises on clean words too
     if not s:
         return None
     k = cfg.k
@@ -336,9 +338,9 @@ def _ladder(cfg: OverlapConfig, pairs: Mapping, s: int) -> DecodeAction | None:
     if pair is not None and cfg.decode_profile == "double_first" and not i & 1:
         return _action("double_pair", pair)
     if o & 1:  # single error according to the outer layer
-        kind, pos = "single_outer", cfg.outer.physical_of_logical[ear_o]
+        kind, pos = "single_outer", cfg.position_of[0][ear_o]
     elif i & 1:  # single error according to the inner layer
-        kind, pos = "single_inner", cfg.inner.physical_of_logical[ear_i]
+        kind, pos = "single_inner", cfg.position_of[1][ear_i]
     else:  # both layers report doubles
         return _action("double_pair", pair) if pair is not None else _action("detected_only")
     return _action(kind, (pos,)) if pos >= 0 else _action("detected_only")
@@ -377,7 +379,7 @@ def decode(cfg: OverlapConfig, cs: Codestruct) -> DecodeOutcome:
     bits, evaluated before correction.
     """
     s = _stored_syndrome(cfg, cs)
-    action = _ladder(cfg, cfg.pair_table, s)
+    action = _ladder(cfg, s)
     data = _flip(cs.data, action.positions) if action else cs.data
     return DecodeOutcome(data=data, detected=s != 0, action=action)
 
@@ -435,12 +437,4 @@ def builtin_config(name: str) -> OverlapConfig:
     key = name.lower()
     if key not in _BUILTIN:
         raise ValueError(f"unknown code {name!r}; available: {', '.join(BUILTIN_NAMES)}")
-    spec = _BUILTIN[key]
-    return OverlapConfig(
-        name=key,
-        rows=spec["rows"],
-        cols=spec["cols"],
-        outer=AddressAssignment.from_logical(spec["outer"], spec["k"]),
-        inner=AddressAssignment.from_logical(spec["inner"], spec["k"]),
-        decode_profile=spec.get("decode_profile", "single_first"),
-    )
+    return OverlapConfig(name=key, **_BUILTIN[key])

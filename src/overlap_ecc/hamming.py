@@ -1,12 +1,12 @@
-"""Extended-Hamming building blocks shared by both overlap layers.
+"""Hamming address rule, check-bit bounds and the bit validator.
 
-Hamming codes are handled here in their XOR form rather than through
-generator/parity-check matrices: check bit j of a k-check code covers every
-data bit whose logical address has bit 2**(k-1-j) set, so the syndrome of a
-single-bit error reads back the flipped bit's address directly.  The
-tests check this convention against a fixed Ham(7,4) codec, whose data
-addresses the 2x2 code's outer layer uses.  ``as_bits`` is the package's
-one bit-sequence validator.
+Each layer of the overlapped code is a Hamming code over logical addresses
+(Hamming 1950): with k check bits every nonzero address below 2**k names
+one position, the powers of two are the check bits' own positions, and
+every other address may carry a data bit.  ``is_data_address`` states that
+rule and ``require_k`` the bound on k; ``available_addresses`` lists the
+addresses the rule allows.  ``min_check_bits`` sizes k for m data bits, and
+``as_bits`` is the package's one bit-sequence validator.
 """
 
 from __future__ import annotations
@@ -17,22 +17,46 @@ BitVec = tuple  # ordered 0/1 ints
 #: largest check-bit count per layer: address tables have 2**k entries
 MAX_CHECK_BITS = 16
 
+# item -> plain int bit; True and 1.0 equal 1, so they look up as 1
+_BIT_OF_ITEM = {0: 0, 1: 1}
+_BIT_OF_CHAR = {"0": 0, "1": 1}
+_ZERO, _ONE = 0, 1
+
 
 def as_bits(value, length: int | None = None) -> BitVec:
-    """Normalize a bit sequence ('0101', [0,1,0,1], ...) to a tuple of ints."""
-    if isinstance(value, str):
-        try:
-            bits = tuple(int(ch) for ch in value)
-        except ValueError:
-            raise ValueError(f"not a bit string: {value!r}") from None
-    else:
-        bits = tuple(value)
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bit values must be 0 or 1, got {b!r}")
+    """Normalize a bit sequence ('0101', [0,1,0,1], ...) to a tuple of plain ints.
+
+    A string holds ASCII '0' and '1' only; other items must equal 0 or 1.
+    """
+    bits = tuple(value)
+    for b in bits:  # CPython's ints 0 and 1 are singletons: plain bits pass on identity
+        if b is not _ZERO and b is not _ONE:
+            table = _BIT_OF_CHAR if isinstance(value, str) else _BIT_OF_ITEM
+            try:
+                bits = tuple(map(table.__getitem__, bits))
+            except (KeyError, TypeError):  # TypeError: an unhashable item
+                raise ValueError(f"bit values must be 0 or 1, got {value!r}") from None
+            break
     if length is not None and len(bits) != length:
         raise ValueError(f"expected {length} bits, got {len(bits)}")
     return bits
+
+
+def require_k(k: int) -> None:
+    """Reject a check-bit count outside [2, MAX_CHECK_BITS]."""
+    if not 2 <= k <= MAX_CHECK_BITS:
+        raise ValueError(f"k must be in [2, {MAX_CHECK_BITS}], got {k}")
+
+
+def is_data_address(a: int, k: int) -> bool:
+    """Whether a may carry a data bit: in [1, 2**k - 1] and not a power of two."""
+    return 0 < a < 1 << k and a & (a - 1) != 0
+
+
+def available_addresses(k: int) -> tuple:
+    """Every usable data address for k check bits, ascending."""
+    require_k(k)
+    return tuple(a for a in range(1 << k) if is_data_address(a, k))
 
 
 def min_check_bits(m: int) -> int:
@@ -47,4 +71,3 @@ def min_check_bits(m: int) -> int:
     while (1 << k) < k + m + 1:
         k += 1
     return k
-

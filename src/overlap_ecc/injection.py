@@ -151,8 +151,8 @@ def build_sweep_tables(cfg: OverlapConfig) -> dict:
     return {"m": cfg.m, "k": k, "n": cfg.n,
             "full_o": [c >> (k + 1) for c in contributions],
             "full_i": [c & ((1 << (k + 1)) - 1) for c in contributions],
-            "inv_flip_o": [1 << p if p >= 0 else 0 for p in cfg.outer.physical_of_logical],
-            "inv_flip_i": [1 << p if p >= 0 else 0 for p in cfg.inner.physical_of_logical],
+            "inv_flip_o": [1 << p if p >= 0 else 0 for p in cfg.position_of[0]],
+            "inv_flip_i": [1 << p if p >= 0 else 0 for p in cfg.position_of[1]],
             "dtab": dtab, "profile": int(cfg.decode_profile == "double_first")}
 
 
@@ -181,10 +181,9 @@ def _repairs(cfg: OverlapConfig) -> tuple:
     """repairs[w][c]: syndromes s with |F(s)| = w and s ^ S(F(s)) = c, where
     F(s) are the data flips of the decode ladder's action on s.  Read-only."""
     contrib = cfg.contributions
-    pairs = cfg.pair_table
     keys = ([], [], [])
     for s in range(1 << (2 * cfg.k + 2)):
-        action = _ladder(cfg, pairs, s)
+        action = _ladder(cfg, s)
         flips = action.positions if action else ()
         keys[len(flips)].append(functools.reduce(operator.xor, map(contrib.__getitem__, flips), s))
     return tuple(map(collections.Counter, keys))

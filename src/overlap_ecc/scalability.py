@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hamming import min_check_bits
+from .hamming import MAX_CHECK_BITS, min_check_bits
 
 OVERLAPPED = "overlapped"
 BASELINE_ORDER = ("Matrix", "PBD", "CLC")
@@ -45,11 +45,14 @@ class CostRow:
 
 
 def overlapped_cost(rows: int, cols: int) -> CostRow:
-    """Cost of the two-layer code on a rows x cols data area."""
+    """Cost of the two-layer code on a rows x cols area the codec can build."""
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
     n = rows * cols
     k = min_check_bits(n)
+    if k > MAX_CHECK_BITS:
+        raise ValueError(f"a {rows}x{cols} area needs k={k} check bits per layer; "
+                         f"the codec builds k <= {MAX_CHECK_BITS}")
     cb = 2 * (k + 1)
     return CostRow(ecc=OVERLAPPED, size=f"{rows}x{cols}", n=n,
                    check_bits=cb, total_bits=n + cb)
@@ -88,6 +91,7 @@ def compare(max_side: int) -> list:
     """
     if max_side < 2:
         raise ValueError("max_side must be >= 2")
+    overlapped_cost(max_side, max_side)  # past the k bound: fail before any row
     by_key = {(r.ecc, r.size): r for r in baseline_costs()}
     out = []
     for side in range(2, max_side + 1):

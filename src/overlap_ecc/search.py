@@ -1,11 +1,13 @@
-"""Search for valid overlap address assignments.
+"""Search for valid overlap address assignments, and validate a given pair.
 
 A pair of layer assignments is valid when the composite double-error key
 (lo(a) XOR lo(b), li(a) XOR li(b)) is distinct for every unordered data pair
-{a, b}: that is exactly what lets the decoder resolve two data errors.  The
-outer layer is fixed to the lexicographically smallest choice (the data
-addresses in ascending order) and the inner layer is found by backtracking,
-pruning any partial assignment that repeats a composite key.
+{a, b}: that is exactly what lets the decoder resolve two data errors.
+validate_assignment reports the collisions of code.scan_composite_keys, the
+scan that also builds the decoder's pair table.  The search fixes the outer
+layer to the smallest choice (hamming.available_addresses, ascending) and
+finds the inner layer by backtracking, pruning any partial assignment that
+repeats a composite key.
 
 Inner address c at position pos adds the keys (lo(p) XOR lo(pos),
 li(p) XOR c) for p < pos.  Their outer halves are distinct, so they can only
@@ -30,15 +32,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .code import AddressAssignment, OverlapConfig
-from .hamming import MAX_CHECK_BITS, min_check_bits
-
-
-def available_addresses(k: int) -> tuple:
-    """Usable data addresses for k check bits: non-powers-of-two in [3, 2**k - 1]."""
-    if not 2 <= k <= MAX_CHECK_BITS:
-        raise ValueError(f"k must be in [2, {MAX_CHECK_BITS}], got {k}")
-    return tuple(a for a in range(3, 1 << k) if a & (a - 1) != 0)
+from .code import OverlapConfig, scan_composite_keys
+from .hamming import available_addresses, min_check_bits
 
 
 @dataclass(frozen=True)
@@ -50,24 +45,10 @@ class ValidationReport:
 
 
 def validate_assignment(outer, inner) -> ValidationReport:
-    """Check composite-key injectivity over all data pairs.
-
-    Accepts AddressAssignment objects or plain address sequences.
-    """
-    lo = tuple(getattr(outer, "logical_of_physical", outer))
-    li = tuple(getattr(inner, "logical_of_physical", inner))
-    if len(lo) != len(li):
+    """Check composite-key injectivity over all data pairs of two address maps."""
+    if len(outer) != len(inner):
         raise ValueError("layers assign different numbers of positions")
-    m = len(lo)
-    seen = {}
-    collisions = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            key = (lo[a] ^ lo[b], li[a] ^ li[b])
-            if key in seen:
-                collisions.append((seen[key], (a, b), key))
-            else:
-                seen[key] = (a, b)
+    _, collisions = scan_composite_keys(outer, inner)
     return ValidationReport(ok=not collisions, collisions=tuple(collisions))
 
 
@@ -93,11 +74,8 @@ class SearchResult:
     explored: int = field(default=0)
 
     def to_config(self, name: str, rows: int, cols: int) -> OverlapConfig:
-        return OverlapConfig(
-            name=name, rows=rows, cols=cols,
-            outer=AddressAssignment.from_logical(self.outer, self.k),
-            inner=AddressAssignment.from_logical(self.inner, self.k),
-        )
+        return OverlapConfig(name=name, rows=rows, cols=cols, k=self.k,
+                             outer=self.outer, inner=self.inner)
 
 
 def search_assignment(m: int, k: int | None = None, seed: int = 0) -> SearchResult:

@@ -13,10 +13,10 @@ import random
 from typing import Iterator, Sequence
 
 from overlap_ecc.code import Codestruct, OverlapConfig, decode, encode
-from overlap_ecc.hamming import as_bits, min_check_bits
+from overlap_ecc.hamming import as_bits, available_addresses, min_check_bits
 from overlap_ecc.injection import Region, SweepReport
 from overlap_ecc.reliability import ReliabilityParams
-from overlap_ecc.search import SearchNotFoundError, SearchResult, available_addresses
+from overlap_ecc.search import SearchNotFoundError, SearchResult
 
 
 def search_assignment_reference(m: int, k: int | None = None, seed: int = 0) -> SearchResult:

@@ -340,6 +340,14 @@ def test_scalability_table(capsys):
     code, out, err = run(capsys, "scalability", "--max", "1")
     assert code == 1 and out == ""
     assert err.startswith("error: Invalid value for '--max'")
+    # 255x255 still fits k = 16; 256x256 would need k = 17, refused before any row
+    code, out, _ = run(capsys, "scalability", "--max", "255")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "255x255,65025,overlapped,34,65059,0.00"
+    code, out, err = run(capsys, "scalability", "--max", "256")
+    assert code == 1 and out == ""
+    assert err == "error: a 256x256 area needs k=17 check bits per layer; " \
+        "the codec builds k <= 16\n"
 
 
 def test_scalability_report_is_golden(capsys):

@@ -7,6 +7,7 @@ import pickle
 import random
 import tracemalloc
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from overlap_ecc import _sweep_py
 from overlap_ecc.code import (
     BUILTIN_NAMES,
-    AddressAssignment,
     Codestruct,
     OverlapConfig,
     as_bits,
@@ -76,7 +76,7 @@ def test_check_equations_match_addresses():
             for checks, parity, layer in ((cs.co, cs.po, cfg.outer), (cs.ci, cs.pi, cfg.inner)):
                 for j, bit in enumerate(checks):
                     weight = 1 << (cfg.k - 1 - j)
-                    cover = [d for d, a in zip(data, layer.logical_of_physical) if a & weight]
+                    cover = [d for d, a in zip(data, layer) if a & weight]
                     assert bit == sum(cover) % 2
                 assert parity == (sum(data) + sum(checks)) % 2
 
@@ -85,8 +85,8 @@ def test_single_data_flip_reads_both_addresses():
     cfg = builtin_config("3x3")
     s = packed_syndrome(cfg, [4])  # position D4
     outer, inner = s >> (cfg.k + 1), s & ((1 << (cfg.k + 1)) - 1)
-    assert outer >> 1 == cfg.outer.logical_of_physical[4] == 12
-    assert inner >> 1 == cfg.inner.logical_of_physical[4] == 10
+    assert outer >> 1 == cfg.outer[4] == 12
+    assert inner >> 1 == cfg.inner[4] == 10
     assert outer & 1 == 1 and inner & 1 == 1  # both parities odd
 
 
@@ -239,12 +239,12 @@ def test_builtin_profiles():
 def test_unknown_profile_rejected():
     cfg = builtin_config("2x2")
     with pytest.raises(ValueError):
-        OverlapConfig(name="x", rows=2, cols=2, outer=cfg.outer, inner=cfg.inner,
-                      decode_profile="pairs_last")
+        OverlapConfig(name="x", rows=2, cols=2, k=cfg.k, outer=cfg.outer,
+                      inner=cfg.inner, decode_profile="pairs_last")
 
 
 def _with_profile(cfg: OverlapConfig, profile: str) -> OverlapConfig:
-    return OverlapConfig(name=cfg.name, rows=cfg.rows, cols=cfg.cols,
+    return OverlapConfig(name=cfg.name, rows=cfg.rows, cols=cfg.cols, k=cfg.k,
                          outer=cfg.outer, inner=cfg.inner, decode_profile=profile)
 
 
@@ -336,12 +336,20 @@ def test_to_hex_rejects_a_non_bit(bad):
 def test_as_bits_validation():
     assert as_bits("0101") == (0, 1, 0, 1)
     assert as_bits([1, 0], 2) == (1, 0)
-    with pytest.raises(ValueError):
-        as_bits("01a1")
+    # items equal to 0 or 1 come back as plain ints
+    for items in ([True, False, True, True], [1.0, 0, 1, 1]):
+        bits = as_bits(items)
+        assert bits == (1, 0, 1, 1) and {type(b) for b in bits} == {int}
+    cfg = builtin_config("2x2")
+    cs = encode(cfg, [True, False, True, True])
+    assert cs.to_json_dict()["data"] == "1011"
+    assert encode(cfg, [1.0, 0, 1, 1]).to_hex() == cs.to_hex()
+    for bad in ("01a1", "\u0661\u0660\u0661\u0661", "\uff11\uff10", "0 1", "+1",
+                [0, 2], [0.5, 1], ["0", "1"], [[0], 1], [None]):
+        with pytest.raises(ValueError):
+            as_bits(bad)
     with pytest.raises(ValueError):
         as_bits("011", 4)
-    with pytest.raises(ValueError):
-        as_bits([0, 2])
 
 
 # --- per-config tables -----------------------------------------------------
@@ -372,7 +380,7 @@ def test_codec_path_hashes_no_config(monkeypatch):
 def test_pair_table_stays_lazy():
     # identical 3x3 layers collide: 11 ^ 13 == 3 ^ 5 in both
     layer = builtin_config("3x3").outer
-    cfg = OverlapConfig(name="twin", rows=3, cols=3, outer=layer, inner=layer)
+    cfg = OverlapConfig(name="twin", rows=3, cols=3, k=4, outer=layer, inner=layer)
     clean = encode(cfg, (1,) + (0,) * 8)
     assert clean.co == clean.ci
     for _ in range(2):  # a failed build is not kept
@@ -391,28 +399,57 @@ def test_config_pickles_after_decoding():
 
 # --- config validation -----------------------------------------------------
 
+def _two_by_two(**changes) -> OverlapConfig:
+    """The 2x2 builtin rebuilt through the constructor, with some fields changed."""
+    return dataclasses.replace(builtin_config("2x2"), **changes)
+
+
 def test_assignment_rejects_bad_addresses():
-    with pytest.raises(ValueError):
-        AddressAssignment.from_logical((3, 4, 6, 7), k=3)  # 4 is a power of two
-    with pytest.raises(ValueError):
-        AddressAssignment.from_logical((3, 5, 6, 3), k=3)  # reused
-    with pytest.raises(ValueError):
-        AddressAssignment.from_logical((3, 5, 6, 9), k=3)  # out of range
-    for k in (1, 17):  # checked before the 2**k inverse table is allocated
+    with pytest.raises(ValueError, match="4 at position 1"):
+        _two_by_two(outer=(3, 4, 6, 7))  # 4 is a power of two
+    with pytest.raises(ValueError, match="address 3 assigned twice"):
+        _two_by_two(outer=(3, 5, 6, 3))  # reused
+    with pytest.raises(ValueError, match="9 at position 3"):
+        _two_by_two(outer=(3, 5, 6, 9))  # out of range
+    for k in (1, 17):  # checked before any 2**k table is built
         with pytest.raises(ValueError, match=rf"^k must be in \[2, 16\], got {k}$"):
-            AddressAssignment.from_logical((3, 5, 6), k=k)
+            _two_by_two(k=k)
 
 
 def test_assignment_accepts_the_widest_k():
-    wide = AddressAssignment.from_logical((3, 5, 6), k=MAX_CHECK_BITS)
-    assert len(wide.physical_of_logical) == 1 << MAX_CHECK_BITS
+    wide = _two_by_two(k=MAX_CHECK_BITS)
+    assert "position_of" not in vars(wide)  # built on first use, like the pair table
+    outer, inner = wide.position_of
+    assert len(outer) == len(inner) == 1 << MAX_CHECK_BITS
+    assert (outer[5], inner[5], outer[4], inner[1 << 15]) == (1, 0, -1, -1)
 
 
-def test_config_rejects_mismatched_layers():
-    out3 = AddressAssignment.from_logical((3, 5, 6, 7), k=3)
-    inn4 = AddressAssignment.from_logical((3, 5, 6, 7), k=4)
-    with pytest.raises(ValueError):
-        OverlapConfig(name="x", rows=2, cols=2, outer=out3, inner=inn4)
+@pytest.mark.parametrize("changes, error", [
+    # a 2x2 outer map reusing address 3 once decoded a single error at
+    # position 1 to the wrong word
+    ({"outer": (3, 3, 6, 7)}, "address 3 assigned twice"),
+    ({"inner": (5, 7, 5, 6)}, "address 5 assigned twice"),
+    ({"inner": (5, 7, 3, 8)}, "address 8 at position 3"),
+    ({"inner": (5, 7, 3, 0)}, "address 0 at position 3"),
+    ({"inner": (5, 7, -3, 6)}, "address -3 at position 2"),
+    ({"inner": (5, 7, 3)}, "want 4 addresses, got 3"),
+    ({"outer": (3, 5, 6, 7, 9)}, "want 4 addresses, got 5"),
+    ({"rows": 0}, "rows and cols"),
+    ({"rows": -2, "cols": -2}, "rows and cols"),
+])
+def test_config_construction_checks_both_layers(changes, error):
+    with pytest.raises(ValueError, match=error):
+        _two_by_two(**changes)
+
+
+def test_config_normalizes_layers_to_int_tuples():
+    # lists and numpy integers become tuples of ints, so the config hashes
+    # and equals its tuple-built twin
+    cfg = _two_by_two(outer=numpy.array([3, 5, 6, 7]), inner=[5, 7, 3, 6])
+    assert type(cfg.outer) is tuple and type(cfg.outer[0]) is int
+    assert cfg == builtin_config("2x2") and hash(cfg) == hash(builtin_config("2x2"))
+    with pytest.raises(TypeError):
+        _two_by_two(outer=(3.0, 5, 6, 7))
 
 
 def test_builtin_config_unknown_name():

@@ -66,7 +66,7 @@ def test_ham74_oracle_matches_the_2x2_outer_layer():
     # the 2x2 outer map (3, 5, 6, 7) is Ham(7,4)'s data addresses, so the
     # codec's outer check bits co[0..2] must equal the oracle's c0..c2
     cfg = builtin_config("2x2")
-    assert cfg.outer.logical_of_physical == (3, 5, 6, 7)
+    assert cfg.outer == (3, 5, 6, 7)
     for value in range(16):
         data = tuple((value >> (3 - i)) & 1 for i in range(4))
         assert encode(cfg, data).co == ham74_encode(data)[4:]

@@ -111,6 +111,11 @@ def test_cost_row_validation_and_errors():
         overlapped_cost(0, 4)
     with pytest.raises(ValueError):
         compare(1)
+    with pytest.raises(ValueError, match="k=17"):
+        overlapped_cost(256, 256)
+    with pytest.raises(ValueError, match="k=17"):
+        compare(256)
+    assert overlapped_cost(255, 255).check_bits == 2 * (16 + 1)
 
 
 def test_csv_shape():

@@ -1,13 +1,14 @@
 """Address-assignment search and validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import search_assignment_reference
 
-from overlap_ecc.code import BUILTIN_NAMES, builtin_config
-from overlap_ecc.hamming import MAX_CHECK_BITS
+from overlap_ecc.code import BUILTIN_NAMES, OverlapConfig, builtin_config
+from overlap_ecc.hamming import MAX_CHECK_BITS, available_addresses
 from overlap_ecc.search import (
     SearchNotFoundError,
-    available_addresses,
     search_assignment,
     validate_assignment,
 )
@@ -49,6 +50,34 @@ def test_identity_pair_collides():
     (first, second, key) = report.collisions[0]
     assert key[0] == key[1]
     assert first != second
+
+
+@st.composite
+def _map_pairs(draw):
+    """(k, outer, inner): two maps of m distinct usable addresses, k in 3..4."""
+    k = draw(st.integers(3, 4))
+    pool = available_addresses(k)
+    m = draw(st.integers(2, len(pool)))
+    layer = st.permutations(pool).map(lambda p: tuple(p[:m]))
+    return k, draw(layer), draw(layer)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_map_pairs())
+def test_validation_agrees_with_the_pair_table(maps):
+    # one composite-key scan serves both: the report is ok exactly when the
+    # config's pair table builds, and a failed build names the first collision
+    k, outer, inner = maps
+    report = validate_assignment(outer, inner)
+    cfg = OverlapConfig(name="h", rows=1, cols=len(outer), k=k, outer=outer, inner=inner)
+    if report.ok:
+        assert len(cfg.pair_table) == len(outer) * (len(outer) - 1) // 2
+    else:
+        first, second, key = report.collisions[0]
+        with pytest.raises(ValueError) as err:
+            cfg.pair_table
+        assert str(err.value) == (f"composite address collision: pairs {first} and "
+                                  f"{second} both map to {key}")
 
 
 def test_validate_rejects_length_mismatch():
