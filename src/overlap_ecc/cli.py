@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .code import (
@@ -77,9 +78,9 @@ def _parse_error_range(spec: str) -> tuple:
 
 
 def _load_maps(path: str) -> OverlapConfig:
-    """A JSON maps file as a one-row config named after the file: "outer"
-    and "inner" address lists plus an optional "k", else the smallest k
-    that holds every address."""
+    """A JSON maps file as a config named after the file: "outer" and
+    "inner" address lists plus an optional "k", else the smallest k that
+    holds every address."""
     try:
         obj = json.loads(Path(path).read_text())
         layers = [obj["outer"], obj["inner"]]
@@ -90,8 +91,7 @@ def _load_maps(path: str) -> OverlapConfig:
     k = obj.get("k", max(2, *(max(a).bit_length() for a in layers)))
     if type(k) is not int or not 2 <= k <= MAX_CHECK_BITS:
         raise ValueError(f"{path}: k must be an integer in [2, {MAX_CHECK_BITS}], got {k!r}")
-    return OverlapConfig(name=path, rows=1, cols=len(layers[0]), k=k,
-                         outer=layers[0], inner=layers[1])
+    return OverlapConfig(name=path, k=k, outer=layers[0], inner=layers[1])
 
 
 @click.group()
@@ -152,6 +152,12 @@ def cmd_decode(ctx, name, hex_str, out):
 def cmd_sweep(ctx, name, region_str, errors_spec, fmt, workers, injector, run_all, out):
     """Exhaustive fault-injection sweep(s); correction and detection rates."""
     if run_all:
+        cell = (("name", "--code"), ("region_str", "--region"), ("errors_spec", "--errors"))
+        given = [opt for param, opt in cell
+                 if ctx.get_parameter_source(param) is ParameterSource.COMMANDLINE]
+        if given:
+            raise click.UsageError(f"--all sweeps every code and region at 1..8 errors; "
+                                   f"drop {', '.join(given)}")
         cells = [(c, r, 1, 8) for c in BUILTIN_NAMES
                  for r in (Region.DATA, Region.CHECK, Region.CODESTRUCT)]
     else:
@@ -163,14 +169,11 @@ def cmd_sweep(ctx, name, region_str, errors_spec, fmt, workers, injector, run_al
     for code_name, region, e_min, e_max in cells:
         cfg = builtin_config(code_name)
         size = region.size(cfg.m, cfg.n)
-        if e_min > size:
-            click.echo(f"warning: {code_name} {region.value}: skipping weights "
-                       f"{e_min}..{e_max}, region has only {size} bits", err=True)
-            continue
         if e_max > size:
             click.echo(f"warning: {code_name} {region.value}: skipping weights "
-                       f"{size + 1}..{e_max}, region has only {size} bits", err=True)
-        reports.extend(sweep(cfg, region, e_min, min(e_max, size), injector=injector))
+                       f"{max(e_min, size + 1)}..{e_max}, region has only {size} bits", err=True)
+        if e_min <= size:
+            reports.extend(sweep(cfg, region, e_min, min(e_max, size), injector=injector))
     if fmt == "csv":
         text = reports_to_csv(reports)
     else:

@@ -22,14 +22,13 @@ forms), for m data bits and k check bits per layer:
 
 Three tables drive the codec, and each OverlapConfig instance holds its
 own, built on first use.  Each position's packed syndrome contribution
-(OverlapConfig.contributions, from syndrome_contributions) makes a word's
-syndrome one XOR fold, which encode and decode share.  The composite
-pair table (OverlapConfig.pair_table, from build_double_error_table)
-resolves double data errors, and the per-layer inverse maps
-(OverlapConfig.position_of) resolve single ones; the decode ladder reads
-them for the one syndrome a word presents.  Check bits are never
-corrected: they are recomputable from corrected data, so only the data
-region is repaired.
+(OverlapConfig.contributions) makes a word's syndrome one XOR fold, which
+encode and decode share.  The composite pair table
+(OverlapConfig.pair_table, from build_double_error_table) resolves double
+data errors, and the per-layer inverse maps (OverlapConfig.position_of)
+resolve single ones; the decode ladder reads them for the one syndrome a
+word presents.  Check bits are never corrected: they are recomputable from
+corrected data, so only the data region is repaired.
 """
 
 from __future__ import annotations
@@ -56,12 +55,9 @@ _DIGIT_OF_BIT = b"01" + b"?" * 254
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
-def _checked_layer(layer: Iterable[int], m: int, k: int) -> tuple:
-    """A layer's map as a tuple of ints, once it is m distinct usable addresses for k."""
+def _checked_layer(layer: Iterable[int], k: int) -> tuple:
+    """A layer's map as a tuple of ints, once it is distinct usable addresses for k."""
     layer = tuple(map(operator.index, layer))
-    if len(layer) != m:
-        raise ValueError(f"both layers must assign every data position: want {m} "
-                         f"addresses, got {len(layer)}")
     seen = set()
     for pos, addr in enumerate(layer):
         if not is_data_address(addr, k):
@@ -75,11 +71,13 @@ def _checked_layer(layer: Iterable[int], m: int, k: int) -> tuple:
 
 @dataclass(frozen=True)
 class OverlapConfig:
-    """Geometry, check-bit count and the two address maps; everything else derives.
+    """Check-bit count and the two address maps; everything else derives.
 
     ``outer[p]`` and ``inner[p]`` are data position p's address in each
-    layer; construction rejects a map that is not m distinct usable
-    addresses for k.  Composite keys are checked when pair_table is built.
+    layer, so the maps' common length is the data size m.  Construction
+    rejects maps that are empty, differ in length or are not distinct
+    usable addresses for k.  Composite keys are checked when pair_table is
+    built.
 
     ``decode_profile`` selects the branch order of the decoder ladder:
     ``"single_first"`` (default) tries the per-layer single-error fixes
@@ -95,26 +93,25 @@ class OverlapConfig:
     """
 
     name: str
-    rows: int
-    cols: int
     k: int
     outer: tuple
     inner: tuple
     decode_profile: str = "single_first"
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("rows and cols must be >= 1")
         require_k(self.k)
         for layer in ("outer", "inner"):
-            object.__setattr__(self, layer, _checked_layer(getattr(self, layer), self.m, self.k))
+            object.__setattr__(self, layer, _checked_layer(getattr(self, layer), self.k))
+        if not self.outer or len(self.outer) != len(self.inner):
+            raise ValueError(f"both layers must be non-empty and the same length: got "
+                             f"{len(self.outer)} outer and {len(self.inner)} inner addresses")
         if self.decode_profile not in DECODE_PROFILES:
             raise ValueError(f"unknown decode profile {self.decode_profile!r}; "
                              f"expected one of {DECODE_PROFILES}")
 
     @functools.cached_property
     def m(self) -> int:
-        return self.rows * self.cols
+        return len(self.outer)
 
     @functools.cached_property
     def n(self) -> int:
@@ -122,8 +119,22 @@ class OverlapConfig:
 
     @functools.cached_property
     def contributions(self) -> tuple:
-        """Packed syndrome contribution of each layout position: syndrome_contributions."""
-        return syndrome_contributions(self)
+        """Packed syndrome contribution of each layout position (length n).
+
+        A layer's packed syndrome is (error address << 1) | parity bit; a
+        position contributes (outer << (k+1)) | inner.  Data position p
+        carries its logical address in each layer, check bit j carries
+        2**(k-1-j) in its own layer, and every position except the other
+        layer's bits flips that layer's parity.  The packed syndrome of a
+        stored word is the XOR of the contributions of its set bits, so it
+        is zero exactly on codewords.
+        """
+        k = self.k
+        own = [(1 << (k - j)) | 1 for j in range(k)] + [1]  # a layer's check bits, then parity
+        other = [0] * (k + 1)  # the other layer's check and parity bits
+        outer = [(a << 1) | 1 for a in self.outer] + own + other
+        inner = [(a << 1) | 1 for a in self.inner] + other + own
+        return tuple((o << (k + 1)) | i for o, i in zip(outer, inner))
 
     @functools.cached_property
     def pair_table(self) -> Mapping:
@@ -269,24 +280,6 @@ def build_double_error_table(cfg: OverlapConfig) -> Mapping:
     return types.MappingProxyType(entries)
 
 
-def syndrome_contributions(cfg: OverlapConfig) -> tuple:
-    """Packed syndrome contribution of each layout position (length n).
-
-    A layer's packed syndrome is (error address << 1) | parity bit; a
-    position contributes (outer << (k+1)) | inner.  Data position p carries
-    its logical address in each layer, check bit j carries 2**(k-1-j) in its
-    own layer, and every position except the other layer's bits flips that
-    layer's parity.  The packed syndrome of a stored word is the XOR of the
-    contributions of its set bits, so it is zero exactly on codewords.
-    """
-    k = cfg.k
-    own = [(1 << (k - j)) | 1 for j in range(k)] + [1]  # a layer's check bits, then parity
-    other = [0] * (k + 1)  # the other layer's check and parity bits
-    outer = [(a << 1) | 1 for a in cfg.outer] + own + other
-    inner = [(a << 1) | 1 for a in cfg.inner] + other + own
-    return tuple((o << (k + 1)) | i for o, i in zip(outer, inner))
-
-
 def _packed_syndrome(contributions: Sequence[int], bits: Iterable[int]) -> int:
     return functools.reduce(operator.xor, itertools.compress(contributions, bits), 0)
 
@@ -410,18 +403,18 @@ def _flip(bits: BitVec, positions: Iterable[int]) -> BitVec:
 
 _BUILTIN = {
     "2x2": {
-        "rows": 2, "cols": 2, "k": 3,
+        "k": 3,
         # search_assignment(m=4, k=3, seed=2)
         "outer": (3, 5, 6, 7),
         "inner": (5, 7, 3, 6),
     },
     "3x3": {
-        "rows": 3, "cols": 3, "k": 4,
+        "k": 4,
         "outer": (11, 13, 3, 10, 12, 5, 14, 6, 15),
         "inner": (9, 7, 14, 13, 10, 12, 5, 3, 15),
     },
     "4x4": {
-        "rows": 4, "cols": 4, "k": 5,
+        "k": 5,
         "outer": (17, 24, 29, 10, 15, 3, 23, 26, 12, 6, 18, 5, 20, 27, 31, 9),
         "inner": (6, 9, 5, 29, 23, 24, 20, 18, 30, 17, 12, 3, 27, 15, 26, 10),
         "decode_profile": "double_first",

@@ -57,13 +57,10 @@ class Region(enum.Enum):
     @classmethod
     def parse(cls, token: str) -> "Region":
         t = token.strip().lower()
-        aliases = {"all": cls.CODESTRUCT, "check_bits": cls.CHECK, "checkbits": cls.CHECK}
-        if t in aliases:
-            return aliases[t]
-        for member in cls:
-            if member.value == t:
-                return member
-        raise ValueError(f"unknown region {token!r} (data, check, codestruct/all)")
+        try:
+            return cls("codestruct" if t == "all" else t)
+        except ValueError:
+            raise ValueError(f"unknown region {token!r} (data, check, codestruct/all)") from None
 
     def bounds(self, m: int, n: int) -> tuple:
         """Half-open absolute interval [start, end) inside the layout."""

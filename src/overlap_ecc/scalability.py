@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .hamming import MAX_CHECK_BITS, min_check_bits
 
 OVERLAPPED = "overlapped"
-BASELINE_ORDER = ("Matrix", "PBD", "CLC")
 
 
 @dataclass(frozen=True)
@@ -32,11 +31,10 @@ class CostRow:
     size: str        # e.g. "4x4"
     n: int           # data bits
     check_bits: int
-    total_bits: int
 
-    def __post_init__(self):
-        if self.total_bits != self.n + self.check_bits:
-            raise ValueError("total_bits must equal n + check_bits")
+    @property
+    def total_bits(self) -> int:
+        return self.n + self.check_bits
 
     @property
     def rc(self) -> float:
@@ -53,33 +51,31 @@ def overlapped_cost(rows: int, cols: int) -> CostRow:
     if k > MAX_CHECK_BITS:
         raise ValueError(f"a {rows}x{cols} area needs k={k} check bits per layer; "
                          f"the codec builds k <= {MAX_CHECK_BITS}")
-    cb = 2 * (k + 1)
-    return CostRow(ecc=OVERLAPPED, size=f"{rows}x{cols}", n=n,
-                   check_bits=cb, total_bits=n + cb)
+    return CostRow(ecc=OVERLAPPED, size=f"{rows}x{cols}", n=n, check_bits=2 * (k + 1))
 
 
-# (ecc, side) -> (check_bits, total_bits) for square areas 2x2..7x7.
-_BASELINE_BITS = {
-    ("Matrix", 2): (8, 12),   ("PBD", 2): (5, 9),    ("CLC", 2): (14, 18),
-    ("Matrix", 3): (12, 21),  ("PBD", 3): (12, 21),  ("CLC", 3): (19, 28),
-    ("Matrix", 4): (16, 32),  ("PBD", 4): (20, 36),  ("CLC", 4): (24, 40),
-    ("Matrix", 5): (25, 50),  ("PBD", 5): (32, 57),  ("CLC", 5): (35, 60),
-    ("Matrix", 6): (30, 66),  ("PBD", 6): (45, 81),  ("CLC", 6): (41, 77),
-    ("Matrix", 7): (35, 84),  ("PBD", 7): (62, 111), ("CLC", 7): (47, 96),
+# published check bits of each ECC on the square areas 2x2..7x7, by side
+_BASELINE_CHECK_BITS = {
+    "Matrix": (8, 12, 16, 25, 30, 35),
+    "PBD": (5, 12, 20, 32, 45, 62),
+    "CLC": (14, 19, 24, 35, 41, 47),
 }
 
+BASELINE_ORDER = tuple(_BASELINE_CHECK_BITS)
 BASELINE_SIDES = range(2, 8)
+
+
+def _baselines(side: int) -> list:
+    """The reference rows of one square side in BASELINE_ORDER; none past 7x7."""
+    if side not in BASELINE_SIDES:
+        return []
+    return [CostRow(ecc=ecc, size=f"{side}x{side}", n=side * side, check_bits=bits[side - 2])
+            for ecc, bits in _BASELINE_CHECK_BITS.items()]
 
 
 def baseline_costs() -> tuple:
     """The 18 reference rows (Matrix, PBD, CLC on 2x2..7x7), side-major."""
-    rows = []
-    for side in BASELINE_SIDES:
-        for ecc in BASELINE_ORDER:
-            cb, cs = _BASELINE_BITS[(ecc, side)]
-            rows.append(CostRow(ecc=ecc, size=f"{side}x{side}", n=side * side,
-                                check_bits=cb, total_bits=cs))
-    return tuple(rows)
+    return tuple(r for side in BASELINE_SIDES for r in _baselines(side))
 
 
 def compare(max_side: int) -> list:
@@ -92,13 +88,10 @@ def compare(max_side: int) -> list:
     if max_side < 2:
         raise ValueError("max_side must be >= 2")
     overlapped_cost(max_side, max_side)  # past the k bound: fail before any row
-    by_key = {(r.ecc, r.size): r for r in baseline_costs()}
     out = []
     for side in range(2, max_side + 1):
-        size = f"{side}x{side}"
         out.append(overlapped_cost(side, side))
-        if side in BASELINE_SIDES:
-            out.extend(by_key[(ecc, size)] for ecc in BASELINE_ORDER)
+        out.extend(_baselines(side))
     return out
 
 

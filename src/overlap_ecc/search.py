@@ -30,7 +30,7 @@ part of that report's golden bytes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .code import OverlapConfig, scan_composite_keys
 from .hamming import available_addresses, min_check_bits
@@ -40,8 +40,11 @@ from .hamming import available_addresses, min_check_bits
 class ValidationReport:
     """Outcome of checking one assignment pair, with collision witnesses."""
 
-    ok: bool
-    collisions: tuple = ()  # ((pair_a, pair_b, key), ...)
+    collisions: tuple  # ((pair_a, pair_b, key), ...)
+
+    @property
+    def ok(self) -> bool:
+        return not self.collisions
 
 
 def validate_assignment(outer, inner) -> ValidationReport:
@@ -49,7 +52,7 @@ def validate_assignment(outer, inner) -> ValidationReport:
     if len(outer) != len(inner):
         raise ValueError("layers assign different numbers of positions")
     _, collisions = scan_composite_keys(outer, inner)
-    return ValidationReport(ok=not collisions, collisions=tuple(collisions))
+    return ValidationReport(tuple(collisions))
 
 
 class SearchNotFoundError(Exception):
@@ -67,15 +70,17 @@ class SearchNotFoundError(Exception):
 
 @dataclass
 class SearchResult:
-    m: int
     k: int
     outer: tuple
     inner: tuple
-    explored: int = field(default=0)
+    explored: int = 0
 
-    def to_config(self, name: str, rows: int, cols: int) -> OverlapConfig:
-        return OverlapConfig(name=name, rows=rows, cols=cols, k=self.k,
-                             outer=self.outer, inner=self.inner)
+    @property
+    def m(self) -> int:
+        return len(self.outer)
+
+    def to_config(self, name: str) -> OverlapConfig:
+        return OverlapConfig(name=name, k=self.k, outer=self.outer, inner=self.inner)
 
 
 def search_assignment(m: int, k: int | None = None, seed: int = 0) -> SearchResult:
@@ -143,4 +148,4 @@ def search_assignment(m: int, k: int | None = None, seed: int = 0) -> SearchResu
 
     if not extend(0, set(), set()):
         raise SearchNotFoundError(m, k, explored)
-    return SearchResult(m=m, k=k, outer=tuple(outer), inner=tuple(inner), explored=explored)
+    return SearchResult(k=k, outer=tuple(outer), inner=tuple(inner), explored=explored)

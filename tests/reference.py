@@ -78,7 +78,7 @@ def search_assignment_reference(m: int, k: int | None = None, seed: int = 0) -> 
 
     if not extend(0):
         raise SearchNotFoundError(m, k, explored)
-    return SearchResult(m=m, k=k, outer=tuple(outer), inner=tuple(inner), explored=explored)
+    return SearchResult(k=k, outer=tuple(outer), inner=tuple(inner), explored=explored)
 
 
 def reliability_at_reference(params: ReliabilityParams, t: float) -> float:

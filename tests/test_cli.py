@@ -127,6 +127,13 @@ def test_sweep_skips_infeasible_rows_with_warning(capsys):
     assert code == 0
     assert len(out.strip().splitlines()) == 1 + 4  # header + e=1..4
     assert "skipping weights 5..8" in err
+    # every weight past the region: no rows, one warning naming the range given
+    for weights in ("5..6", "6..7"):
+        code, out, err = run(capsys, "sweep", "--code", "2x2", "--region", "data",
+                             "--errors", weights)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1  # header only
+        assert f"warning: 2x2 data: skipping weights {weights}, region has only 4 bits" in err
 
 
 def test_sweep_all_runs_the_full_matrix(capsys):
@@ -166,6 +173,12 @@ def test_sweep_usage_errors(capsys):
     assert run(capsys, "sweep", "--code", "2x2", "--errors", "4..2")[0] == 1
     assert run(capsys, "sweep", "--code", "2x2", "--region", "nowhere")[0] == 1
     assert run(capsys, "sweep", "--code", "2x2", "--workers", "0")[0] == 1
+    # --all fixes every cell, so it refuses the options that pick one
+    for extra in (["--code", "2x2"], ["--region", "data"], ["--errors", "3"],
+                  ["--code", "2x2", "--region", "data", "--errors", "3"]):
+        code, out, err = run(capsys, "sweep", "--all", *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --all sweeps every code") and err.count("\n") == 1
 
 
 # --- search / verify-maps -----------------------------------------------------

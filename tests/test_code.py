@@ -22,7 +22,6 @@ from overlap_ecc.code import (
     builtin_config,
     decode,
     encode,
-    syndrome_contributions,
 )
 from overlap_ecc.hamming import MAX_CHECK_BITS
 from overlap_ecc.injection import Region, build_sweep_tables, sweep
@@ -38,10 +37,9 @@ def flip(cs: Codestruct, cfg: OverlapConfig, *positions) -> Codestruct:
 
 def packed_syndrome(cfg: OverlapConfig, positions) -> int:
     """Packed syndrome (outer << (k+1)) | inner of a flip pattern."""
-    contributions = syndrome_contributions(cfg)
     s = 0
     for p in positions:
-        s ^= contributions[p]
+        s ^= cfg.contributions[p]
     return s
 
 
@@ -212,7 +210,7 @@ def test_every_syndrome_action_is_pinned(name):
 def test_decode_on_a_wide_map():
     # k = 9: a syndrome has 20 bits, so the first decode must not build
     # anything that grows with 2**(2k+2)
-    cfg = search_assignment(16, k=9, seed=0).to_config("wide", 4, 4)
+    cfg = search_assignment(16, k=9, seed=0).to_config("wide")
     clean = encode(cfg, (1, 0) * 8)
     tracemalloc.start()
     try:
@@ -239,13 +237,13 @@ def test_builtin_profiles():
 def test_unknown_profile_rejected():
     cfg = builtin_config("2x2")
     with pytest.raises(ValueError):
-        OverlapConfig(name="x", rows=2, cols=2, k=cfg.k, outer=cfg.outer,
-                      inner=cfg.inner, decode_profile="pairs_last")
+        OverlapConfig(name="x", k=cfg.k, outer=cfg.outer, inner=cfg.inner,
+                      decode_profile="pairs_last")
 
 
 def _with_profile(cfg: OverlapConfig, profile: str) -> OverlapConfig:
-    return OverlapConfig(name=cfg.name, rows=cfg.rows, cols=cfg.cols, k=cfg.k,
-                         outer=cfg.outer, inner=cfg.inner, decode_profile=profile)
+    return OverlapConfig(name=cfg.name, k=cfg.k, outer=cfg.outer, inner=cfg.inner,
+                         decode_profile=profile)
 
 
 def test_profiles_agree_up_to_two_errors():
@@ -380,7 +378,7 @@ def test_codec_path_hashes_no_config(monkeypatch):
 def test_pair_table_stays_lazy():
     # identical 3x3 layers collide: 11 ^ 13 == 3 ^ 5 in both
     layer = builtin_config("3x3").outer
-    cfg = OverlapConfig(name="twin", rows=3, cols=3, k=4, outer=layer, inner=layer)
+    cfg = OverlapConfig(name="twin", k=4, outer=layer, inner=layer)
     clean = encode(cfg, (1,) + (0,) * 8)
     assert clean.co == clean.ci
     for _ in range(2):  # a failed build is not kept
@@ -432,10 +430,11 @@ def test_assignment_accepts_the_widest_k():
     ({"inner": (5, 7, 3, 8)}, "address 8 at position 3"),
     ({"inner": (5, 7, 3, 0)}, "address 0 at position 3"),
     ({"inner": (5, 7, -3, 6)}, "address -3 at position 2"),
-    ({"inner": (5, 7, 3)}, "want 4 addresses, got 3"),
-    ({"outer": (3, 5, 6, 7, 9)}, "want 4 addresses, got 5"),
-    ({"rows": 0}, "rows and cols"),
-    ({"rows": -2, "cols": -2}, "rows and cols"),
+    ({"inner": (5, 7, 3)}, "got 4 outer and 3 inner addresses"),
+    # k=4 makes address 9 usable, so only the lengths differ
+    ({"k": 4, "outer": (3, 5, 6, 7, 9)}, "got 5 outer and 4 inner addresses"),
+    ({"outer": (), "inner": ()}, "must be non-empty"),
+    ({"outer": [], "inner": (5, 7, 3, 6)}, "got 0 outer and 4 inner addresses"),
 ])
 def test_config_construction_checks_both_layers(changes, error):
     with pytest.raises(ValueError, match=error):

@@ -26,8 +26,9 @@ def test_region_parse_aliases():
     assert Region.parse("all") is Region.CODESTRUCT
     assert Region.parse("data") is Region.DATA
     assert Region.parse("Check") is Region.CHECK
-    with pytest.raises(ValueError):
-        Region.parse("headers")
+    for token in ("headers", "check_bits"):
+        with pytest.raises(ValueError, match="unknown region"):
+            Region.parse(token)
 
 
 def test_region_bounds():
@@ -111,7 +112,7 @@ def test_kernels_cover_double_first_profile():
 
 def test_wide_searched_config_matches_reference():
     # n = 37 > 32: no pattern mask or syndrome may be cut to 32 bits
-    cfg = search_assignment(25, k=5, seed=1).to_config("5x5", rows=5, cols=5)
+    cfg = search_assignment(25, k=5, seed=1).to_config("5x5")
     assert cfg.n == 37
     rng = random.Random(8)
     payload = tuple(rng.randrange(2) for _ in range(cfg.m))

@@ -5,7 +5,6 @@ import pytest
 from overlap_ecc.code import builtin_config
 from overlap_ecc.scalability import (
     BASELINE_ORDER,
-    CostRow,
     baseline_costs,
     compare,
     comparison_to_csv,
@@ -105,8 +104,6 @@ def test_non_square_areas_supported():
 
 
 def test_cost_row_validation_and_errors():
-    with pytest.raises(ValueError):
-        CostRow(ecc="x", size="2x2", n=4, check_bits=8, total_bits=13)
     with pytest.raises(ValueError):
         overlapped_cost(0, 4)
     with pytest.raises(ValueError):

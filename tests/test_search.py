@@ -69,7 +69,7 @@ def test_validation_agrees_with_the_pair_table(maps):
     # config's pair table builds, and a failed build names the first collision
     k, outer, inner = maps
     report = validate_assignment(outer, inner)
-    cfg = OverlapConfig(name="h", rows=1, cols=len(outer), k=k, outer=outer, inner=inner)
+    cfg = OverlapConfig(name="h", k=k, outer=outer, inner=inner)
     if report.ok:
         assert len(cfg.pair_table) == len(outer) * (len(outer) - 1) // 2
     else:
@@ -157,7 +157,7 @@ def test_search_result_builds_working_config():
     from overlap_ecc.code import decode, encode
 
     res = search_assignment(6, seed=3)
-    cfg = res.to_config("2x3", rows=2, cols=3)
+    cfg = res.to_config("2x3")
     clean = encode(cfg, (1, 0, 1, 1, 0, 0))
     bits = list(clean.bits())
     bits[1] ^= 1
