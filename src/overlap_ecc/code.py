@@ -11,14 +11,18 @@ data pair has its own composite key is checked by one scan,
 scan_composite_keys, which the pair table and search.validate_assignment
 share.
 
-Serialized codestruct layout (used by fault injection and the hex/JSON text
-forms), for m data bits and k check bits per layer:
+A stored word (Codestruct) is one bit tuple in this layout, which fault
+injection and the hex/JSON text forms share; for m data bits and k check
+bits per layer:
 
     [0, m)              data, row-major
     [m, m+k)            outer check bits co (co[0] most significant)
     m+k                 outer parity po
     [m+k+1, m+2k+1)     inner check bits ci
     m+2k+1              inner parity pi
+
+Codestruct's views are the one place these offsets are written.  The
+packed syndrome lists the check region in the same order.
 
 Three tables drive the codec, and each OverlapConfig instance holds its
 own, built on first use.  Each position's packed syndrome contribution
@@ -33,6 +37,7 @@ corrected data, so only the data region is repaired.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -142,6 +147,20 @@ class OverlapConfig:
         return build_double_error_table(self)
 
     @functools.cached_property
+    def repairs(self) -> tuple:
+        """repairs[w][c]: syndromes s with |F(s)| = w and s ^ S(F(s)) = c, where
+        F(s) are the data flips of the decode ladder's action on s; sweep()
+        counts corrected patterns from it.  Read-only."""
+        contrib = self.contributions
+        keys = ([], [], [])
+        for s in range(1 << (2 * self.k + 2)):
+            action = _ladder(self, s)
+            flips = action.positions if action else ()
+            keys[len(flips)].append(
+                functools.reduce(operator.xor, map(contrib.__getitem__, flips), s))
+        return tuple(map(collections.Counter, keys))
+
+    @functools.cached_property
     def position_of(self) -> tuple:
         """(outer, inner): each layer's data position of all 2**k addresses, -1 if none."""
         tables = ([-1] * (1 << self.k), [-1] * (1 << self.k))
@@ -153,59 +172,48 @@ class OverlapConfig:
     def __getstate__(self) -> dict:  # pickle the fields; the cached tables rebuild
         return {f: self.__dict__[f] for f in self.__dataclass_fields__}
 
-    # serialized layout offsets
-    @property
-    def co_start(self) -> int:
-        return self.m
-
-    @property
-    def po_pos(self) -> int:
-        return self.m + self.k
-
-    @property
-    def ci_start(self) -> int:
-        return self.m + self.k + 1
-
-    @property
-    def pi_pos(self) -> int:
-        return self.m + 2 * self.k + 1
-
 
 @dataclass(frozen=True)
 class Codestruct:
-    """One encoded word: data plus both layers' check and parity bits."""
+    """One stored word: its serialized layout and the check-bit count k.
 
-    data: BitVec
-    co: BitVec
-    po: int
-    ci: BitVec
-    pi: int
+    data, co, po, ci and pi are read-only views of ``bits``, sliced by k from
+    its end; as properties they are not in eq, hash or repr.
+    """
 
-    def bits(self) -> BitVec:
-        """Serialized layout: data, co, po, ci, pi."""
-        return self.data + self.co + (self.po,) + self.ci + (self.pi,)
+    bits: BitVec
+    k: int
+
+    @property
+    def data(self) -> BitVec:
+        return self.bits[: -2 * self.k - 2]
+
+    @property
+    def co(self) -> BitVec:
+        return self.bits[-2 * self.k - 2 : -self.k - 2]
+
+    @property
+    def po(self) -> int:
+        return self.bits[-self.k - 2]
+
+    @property
+    def ci(self) -> BitVec:
+        return self.bits[-self.k - 1 : -1]
+
+    @property
+    def pi(self) -> int:
+        return self.bits[-1]
 
     @classmethod
     def from_bits(cls, bits: Sequence[int], m: int, k: int) -> "Codestruct":
-        return cls._from_layout(as_bits(bits, m + 2 * (k + 1)), m, k)
-
-    @classmethod
-    def _from_layout(cls, b: BitVec, m: int, k: int) -> "Codestruct":
-        """Split a serialized layout of checked 0/1 ints into its fields."""
-        return cls(
-            data=b[:m],
-            co=b[m : m + k],
-            po=b[m + k],
-            ci=b[m + k + 1 : m + 2 * k + 1],
-            pi=b[m + 2 * k + 1],
-        )
+        return cls(as_bits(bits, m + 2 * (k + 1)), k)
 
     def to_hex(self) -> str:
         """Lowercase hex of the bit layout, position 0 = MSB of the first digit.
 
         The tail is zero-padded to a nibble boundary.
         """
-        bits = self.bits()
+        bits = self.bits
         n = len(bits)
         value = int(bytes(bits).translate(_DIGIT_OF_BIT), 2)
         return format(value << (-n % 4), f"0{(n + 3) // 4}x")
@@ -223,8 +231,8 @@ class Codestruct:
         pad = want_digits * 4 - n
         if value & ((1 << pad) - 1):
             raise ValueError("padding bits past the codestruct length must be zero")
-        digits = format(value >> pad & ((1 << n) - 1), f"0{n}b")
-        return cls._from_layout(tuple(digits.encode().translate(_BIT_OF_DIGIT)), m, k)
+        digits = format(value >> pad, f"0{n}b")
+        return cls(tuple(digits.encode().translate(_BIT_OF_DIGIT)), k)
 
     def to_json_dict(self) -> dict:
         return {
@@ -296,9 +304,11 @@ def encode(cfg: OverlapConfig, data) -> Codestruct:
     s = _packed_syndrome(cfg.contributions, d)
     o = s >> (k + 1)
     i = s & ((1 << (k + 1)) - 1)
-    b = tuple(format(s, f"0{2 * k + 2}b").encode().translate(_BIT_OF_DIGIT))
-    return Codestruct(data=d, co=b[:k], po=o.bit_count() & 1,
-                      ci=b[k + 1 : 2 * k + 1], pi=i.bit_count() & 1)
+    # s is the check region in layout order, but each stored parity also
+    # covers its layer's check bits: it is the parity of the whole half
+    check = ((o & -2) | (o.bit_count() & 1)) << (k + 1) | (i & -2) | (i.bit_count() & 1)
+    digits = format(check, f"0{2 * k + 2}b")
+    return Codestruct(d + tuple(digits.encode().translate(_BIT_OF_DIGIT)), k)
 
 
 def _stored_syndrome(cfg: OverlapConfig, cs: Codestruct) -> int:
@@ -307,9 +317,9 @@ def _stored_syndrome(cfg: OverlapConfig, cs: Codestruct) -> int:
     Each parity covers its layer's *stored* (not recomputed) check bits, so
     a lone check-bit flip shows up in both the address and the parity.
     """
-    if len(cs.data) != cfg.m or len(cs.co) != cfg.k or len(cs.ci) != cfg.k:
+    if cs.k != cfg.k or len(cs.bits) != cfg.n:
         raise ValueError("codestruct does not match config geometry")
-    return _packed_syndrome(cfg.contributions, cs.bits())
+    return _packed_syndrome(cfg.contributions, cs.bits)
 
 
 _action = functools.lru_cache(maxsize=None)(DecodeAction)  # one instance per distinct action

@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import collections
 import enum
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import _sweep_py as _kernel  # enumeration reference; benchmarks/perfbench/probes.py races it
-from .code import Codestruct, OverlapConfig, _ladder, as_bits, encode
+from .code import Codestruct, OverlapConfig, as_bits, encode
 
 
 def __getattr__(name: str):  # sweeps start no pool: only benchmarks/perfbench/tracing.py asks
@@ -173,19 +171,6 @@ def _tally(groups, e_max: int) -> list:
     return counts
 
 
-@functools.lru_cache(maxsize=None)
-def _repairs(cfg: OverlapConfig) -> tuple:
-    """repairs[w][c]: syndromes s with |F(s)| = w and s ^ S(F(s)) = c, where
-    F(s) are the data flips of the decode ladder's action on s.  Read-only."""
-    contrib = cfg.contributions
-    keys = ([], [], [])
-    for s in range(1 << (2 * cfg.k + 2)):
-        action = _ladder(cfg, s)
-        flips = action.positions if action else ()
-        keys[len(flips)].append(functools.reduce(operator.xor, map(contrib.__getitem__, flips), s))
-    return tuple(map(collections.Counter, keys))
-
-
 def _meet(tally, check_part, e: int) -> int:
     """Pairs of a part counted in tally[w][s] and a check part of weight e - w
     with the same syndrome s: the sum of tally[w][s] * check_part[e - w][s]."""
@@ -215,18 +200,18 @@ def sweep(cfg: OverlapConfig, region: Region, e_min: int, e_max: int,
     lo, hi = region.bounds(cfg.m, cfg.n)
     checks = []
     if hi > cfg.m:
-        checks = [((contrib[cfg.po_pos], 1),), ((contrib[cfg.pi_pos], 1),)]
-        for j in range(cfg.k):
+        by_part = Codestruct(contrib, cfg.k)  # the layout views split the contributions
+        checks = [((by_part.po, 1),), ((by_part.pi, 1),)]
+        for j, (co, ci) in enumerate(zip(by_part.co, by_part.ci)):
             # A mirrored ci_j flip stores NOT co_j: it lands alone when the
             # clean co_j equals ci_j, and with a co_j flip when they differ.
             differ = diff_field >> j & 1
-            co, ci = contrib[cfg.co_start + j], contrib[cfg.ci_start + j]
             checks.append(((co, 1), (0 if mirror and differ else ci, 1),
                            (co if mirror and not differ else co ^ ci, 2)))
     check_part = _tally(checks, e_max)
     data_part = _tally([((contrib[p], 1),) for p in range(lo, min(hi, cfg.m))], e_max)
     # F(s) holds data bits only: a region without them repairs with F(s) empty
-    repairs = _repairs(cfg) if lo < cfg.m else _repairs(cfg)[:1]
+    repairs = cfg.repairs if lo < cfg.m else cfg.repairs[:1]
     return [SweepReport(code=cfg.name, region=region, errors=e, decodings=math.comb(size, e),
                         corrected=_meet(repairs, check_part, e),
                         detected=math.comb(size, e) - _meet(data_part, check_part, e))

@@ -153,7 +153,7 @@ def apply_pattern(cs: Codestruct, pattern: Sequence[int], region: Region) -> Cod
     k = len(cs.co)
     n = m + 2 * (k + 1)
     lo, hi = region.bounds(m, n)
-    bits = list(cs.bits())
+    bits = list(cs.bits)
     for p in pattern:
         pos = lo + p
         if not lo <= pos < hi:
@@ -174,18 +174,20 @@ def sweep_python_reference(cfg: OverlapConfig, region: Region, e: int,
     clean = encode(cfg, data)
     size = region.size(cfg.m, cfg.n)
     base, _hi = region.bounds(cfg.m, cfg.n)
+    co_start = cfg.m  # offsets from m and k, independent of Codestruct's views
+    ci_start = cfg.m + cfg.k + 1
     corrected = 0
     detected = 0
     total = 0
     for pattern in enumerate_patterns(size, e):
         corrupted = apply_pattern(clean, pattern, region)
         if injector == "mirror":
-            bits = list(corrupted.bits())
+            bits = list(corrupted.bits)
             for p in pattern:
                 pos = base + p
-                if cfg.ci_start <= pos < cfg.ci_start + cfg.k:
-                    j = pos - cfg.ci_start
-                    bits[pos] = 1 ^ bits[cfg.co_start + j]
+                if ci_start <= pos < ci_start + cfg.k:
+                    j = pos - ci_start
+                    bits[pos] = 1 ^ bits[co_start + j]
             corrupted = Codestruct.from_bits(bits, cfg.m, cfg.k)
         out = decode(cfg, corrupted)
         total += 1

@@ -40,6 +40,13 @@ def test_encode_worked_example(capsys):
     assert doc["schema"] == "overlap-ecc/codestruct/1"
 
 
+def test_encode_report_is_golden(capsys):
+    code, out, _ = run(capsys, "encode", "--code", "4x4", "--data", "1011001110001111")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "6fe54ba2a7a73d80d13e3ce517d9bfc086e000f4a21f0fb551b13864e4a9d9bf"
+
+
 def test_encode_zero_payload(capsys):
     code, out, _ = run(capsys, "encode", "--code", "3x3", "--data", "0" * 9)
     assert code == 0

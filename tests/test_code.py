@@ -29,7 +29,7 @@ from overlap_ecc.search import search_assignment
 
 
 def flip(cs: Codestruct, cfg: OverlapConfig, *positions) -> Codestruct:
-    bits = list(cs.bits())
+    bits = list(cs.bits)
     for p in positions:
         bits[p] ^= 1
     return Codestruct.from_bits(bits, cfg.m, cfg.k)
@@ -58,8 +58,8 @@ def test_encode_zero_payload_is_all_zero():
     for name in BUILTIN_NAMES:
         cfg = builtin_config(name)
         cs = encode(cfg, (0,) * cfg.m)
-        assert set(cs.bits()) == {0}
-        assert len(cs.bits()) == cfg.n
+        assert set(cs.bits) == {0}
+        assert len(cs.bits) == cfg.n
 
 
 def test_check_equations_match_addresses():
@@ -135,11 +135,24 @@ def test_decode_double_data_error_uses_pair_table():
     assert out.data == clean.data
 
 
+def test_decode_rejects_a_word_of_another_geometry():
+    geometry = "codestruct does not match config geometry"
+    with pytest.raises(ValueError, match=geometry):
+        decode(builtin_config("4x4"), encode(builtin_config("3x3"), (0,) * 9))
+    # same n = 12 as the 2x2 word (m=4, k=3), but m=2 and k=4: a
+    # length-only check would decode it
+    m2k4 = OverlapConfig(name="m2k4", k=4, outer=(3, 5), inner=(5, 3))
+    word = encode(builtin_config("2x2"), (0,) * 4)
+    assert len(word.bits) == m2k4.n == 12
+    with pytest.raises(ValueError, match=geometry):
+        decode(m2k4, word)
+
+
 def test_decode_parity_plus_data_is_single():
     # data flip plus the outer parity bit: inner layer sees a clean single
     cfg = builtin_config("3x3")
     clean = encode(cfg, (0,) * 9)
-    out = decode(cfg, flip(clean, cfg, 3, cfg.po_pos))
+    out = decode(cfg, flip(clean, cfg, 3, cfg.m + cfg.k))
     assert out.data == clean.data
 
 
@@ -275,7 +288,7 @@ def test_double_first_repairs_pair_plus_outer_parity():
     # single-first ladder instead trusts s_po=1 and mis-flips.
     cfg = builtin_config("4x4")
     clean = encode(cfg, (0,) * 16)
-    cs = flip(clean, cfg, 0, 1, cfg.po_pos)
+    cs = flip(clean, cfg, 0, 1, cfg.m + cfg.k)
     assert decode(cfg, cs).data == clean.data
     assert decode(_with_profile(cfg, "single_first"), cs).data != clean.data
 
@@ -286,7 +299,7 @@ def test_double_first_miss_falls_through_to_single():
     cfg = builtin_config("4x4")
     clean = encode(cfg, (0,) * 16)
     for j in range(cfg.k):
-        out = decode(cfg, flip(clean, cfg, 5, cfg.ci_start + j))
+        out = decode(cfg, flip(clean, cfg, 5, cfg.m + cfg.k + 1 + j))
         assert out.data == clean.data
 
 
@@ -313,11 +326,15 @@ def test_serialization_round_trips(name, data):
                                        max_size=cfg.m)))
     cs = encode(cfg, payload)
     assert Codestruct.from_hex(cs.to_hex(), cfg.m, cfg.k) == cs
-    assert Codestruct.from_bits(cs.bits(), cfg.m, cfg.k) == cs
+    assert Codestruct.from_bits(cs.bits, cfg.m, cfg.k) == cs
     # any n-bit layout, codeword or not, against the bitwise reference
     n = cfg.n
     bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     word = Codestruct.from_bits(bits, cfg.m, cfg.k)
+    # the views partition the layout: data, co, po, ci, pi
+    assert word.bits == bits
+    assert word.data + word.co + (word.po,) + word.ci + (word.pi,) == bits
+    assert (len(word.data), len(word.co), len(word.ci)) == (cfg.m, cfg.k, cfg.k)
     text = word.to_hex()
     assert text == format(int("".join(map(str, bits)), 2) << (-n % 4), f"0{(n + 3) // 4}x")
     assert Codestruct.from_hex(text, cfg.m, cfg.k) == word
@@ -328,7 +345,7 @@ def test_to_hex_rejects_a_non_bit(bad):
     # whitespace (32), "0" (48) and "_" (95) must not pass as digits either
     cs = encode(builtin_config("2x2"), "1011")
     with pytest.raises(ValueError):
-        dataclasses.replace(cs, pi=bad).to_hex()
+        Codestruct(cs.bits[:-1] + (bad,), cs.k).to_hex()
 
 
 def test_as_bits_validation():

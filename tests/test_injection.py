@@ -1,14 +1,16 @@
 """Sweep engine: exact counts against enumeration, injector semantics."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 from reference import apply_pattern, enumerate_patterns, sweep_python_reference
 
 from overlap_ecc import _sweep_py
-from overlap_ecc.code import BUILTIN_NAMES, Codestruct, builtin_config, decode, encode
+from overlap_ecc.code import BUILTIN_NAMES, Codestruct, OverlapConfig, builtin_config, decode, encode
 from overlap_ecc.injection import (
     Region,
     build_sweep_tables,
@@ -131,6 +133,16 @@ def test_wide_searched_config_matches_reference():
             assert out.detected and out.data == clean.data, pattern
 
 
+def test_sweep_keeps_no_config_alive():
+    # the sweep's repair table lives on the config, so it goes with it
+    cfg = OverlapConfig(name="m2k4", k=4, outer=(3, 5), inner=(5, 3))
+    sweep(cfg, Region.CODESTRUCT, 1, 2)
+    alive = weakref.ref(cfg)
+    del cfg
+    gc.collect()
+    assert alive() is None
+
+
 # --- sweep semantics -------------------------------------------------------
 
 def test_weight_zero_counts_one_clean_decode():
@@ -164,7 +176,7 @@ def test_translation_invariance_point_samples():
         outs = []
         for payload in (p1, p2):
             clean = encode(cfg, payload)
-            bits = list(clean.bits())
+            bits = list(clean.bits)
             for pos in pattern:
                 bits[pos] ^= 1
             out = decode(cfg, Codestruct.from_bits(bits, cfg.m, cfg.k))

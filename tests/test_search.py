@@ -159,7 +159,7 @@ def test_search_result_builds_working_config():
     res = search_assignment(6, seed=3)
     cfg = res.to_config("2x3")
     clean = encode(cfg, (1, 0, 1, 1, 0, 0))
-    bits = list(clean.bits())
+    bits = list(clean.bits)
     bits[1] ^= 1
     bits[4] ^= 1
     from overlap_ecc.code import Codestruct
