@@ -135,8 +135,9 @@ def cmd_decode(ctx, name, hex_str, out):
 
 @cli.command("sweep")
 @click.option("--code", "name", type=click.Choice(BUILTIN_NAMES), default=None)
-@click.option("--region", "region_str", default="all", show_default=True,
-              help="data, check, or all (the whole codestruct)")
+@click.option("--region", "region_name",
+              type=click.Choice([r.value for r in Region] + ["all"], case_sensitive=False),
+              default="all", show_default=True, help="all is the whole codestruct")
 @click.option("--errors", "errors_spec", default="1..8", show_default=True,
               help="error weight N or range N..M")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
@@ -149,26 +150,26 @@ def cmd_decode(ctx, name, hex_str, out):
               help="every builtin code and region at 1..8 errors")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.pass_context
-def cmd_sweep(ctx, name, region_str, errors_spec, fmt, workers, injector, run_all, out):
+def cmd_sweep(ctx, name, region_name, errors_spec, fmt, workers, injector, run_all, out):
     """Exhaustive fault-injection sweep(s); correction and detection rates."""
     if run_all:
-        cell = (("name", "--code"), ("region_str", "--region"), ("errors_spec", "--errors"))
+        cell = (("name", "--code"), ("region_name", "--region"), ("errors_spec", "--errors"))
         given = [opt for param, opt in cell
                  if ctx.get_parameter_source(param) is ParameterSource.COMMANDLINE]
         if given:
             raise click.UsageError(f"--all sweeps every code and region at 1..8 errors; "
                                    f"drop {', '.join(given)}")
-        cells = [(c, r, 1, 8) for c in BUILTIN_NAMES
-                 for r in (Region.DATA, Region.CHECK, Region.CODESTRUCT)]
+        cells = [(c, r, 1, 8) for c in BUILTIN_NAMES for r in Region]
     else:
         if name is None:
             raise click.UsageError("pass --code or --all")
-        cells = [(name, Region.parse(region_str), *_parse_error_range(errors_spec))]
+        region = Region("codestruct" if region_name == "all" else region_name)
+        cells = [(name, region, *_parse_error_range(errors_spec))]
 
     reports = []
     for code_name, region, e_min, e_max in cells:
         cfg = builtin_config(code_name)
-        size = region.size(cfg.m, cfg.n)
+        size = len(region.positions(cfg.m, cfg.n))
         if e_max > size:
             click.echo(f"warning: {code_name} {region.value}: skipping weights "
                        f"{max(e_min, size + 1)}..{e_max}, region has only {size} bits", err=True)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _sweep_py as _kernel  # enumeration reference; benchmarks/perfbench/probes.py races it
-from .code import Codestruct, OverlapConfig, as_bits, encode
+from .code import Codestruct, OverlapConfig, encode
 
 
 def __getattr__(name: str):  # sweeps start no pool: only benchmarks/perfbench/tracing.py asks
@@ -52,25 +52,13 @@ class Region(enum.Enum):
     CHECK = "check"
     CODESTRUCT = "codestruct"
 
-    @classmethod
-    def parse(cls, token: str) -> "Region":
-        t = token.strip().lower()
-        try:
-            return cls("codestruct" if t == "all" else t)
-        except ValueError:
-            raise ValueError(f"unknown region {token!r} (data, check, codestruct/all)") from None
-
-    def bounds(self, m: int, n: int) -> tuple:
-        """Half-open absolute interval [start, end) inside the layout."""
+    def positions(self, m: int, n: int) -> range:
+        """The region's layout positions in a word of m data bits and n bits."""
         if self is Region.DATA:
-            return 0, m
+            return range(0, m)
         if self is Region.CHECK:
-            return m, n
-        return 0, n
-
-    def size(self, m: int, n: int) -> int:
-        lo, hi = self.bounds(m, n)
-        return hi - lo
+            return range(m, n)
+        return range(0, n)
 
 
 @dataclass(frozen=True)
@@ -190,16 +178,16 @@ def sweep(cfg: OverlapConfig, region: Region, e_min: int, e_max: int,
     """
     if injector not in ("mirror", "flip"):
         raise ValueError(f"injector must be 'mirror' or 'flip', got {injector!r}")
-    size = region.size(cfg.m, cfg.n)
+    span = region.positions(cfg.m, cfg.n)
+    size = len(span)
     if not 0 <= e_min <= e_max <= size:
         raise ValueError(f"need 0 <= e_min <= e_max <= {size} for {region.value}")
-    data = (0,) * cfg.m if payload is None else as_bits(payload, cfg.m)
     mirror = injector == "mirror"
-    diff_field = payload_diff_field(cfg, encode(cfg, data)) if mirror else 0
+    cs = encode(cfg, (0,) * cfg.m if payload is None else payload)
+    diff_field = payload_diff_field(cfg, cs) if mirror else 0
     contrib = cfg.contributions
-    lo, hi = region.bounds(cfg.m, cfg.n)
     checks = []
-    if hi > cfg.m:
+    if span.stop > cfg.m:
         by_part = Codestruct(contrib, cfg.k)  # the layout views split the contributions
         checks = [((by_part.po, 1),), ((by_part.pi, 1),)]
         for j, (co, ci) in enumerate(zip(by_part.co, by_part.ci)):
@@ -209,9 +197,9 @@ def sweep(cfg: OverlapConfig, region: Region, e_min: int, e_max: int,
             checks.append(((co, 1), (0 if mirror and differ else ci, 1),
                            (co if mirror and not differ else co ^ ci, 2)))
     check_part = _tally(checks, e_max)
-    data_part = _tally([((contrib[p], 1),) for p in range(lo, min(hi, cfg.m))], e_max)
+    data_part = _tally([((contrib[p], 1),) for p in span if p < cfg.m], e_max)
     # F(s) holds data bits only: a region without them repairs with F(s) empty
-    repairs = cfg.repairs if lo < cfg.m else cfg.repairs[:1]
+    repairs = cfg.repairs if span.start < cfg.m else cfg.repairs[:1]
     return [SweepReport(code=cfg.name, region=region, errors=e, decodings=math.comb(size, e),
                         corrected=_meet(repairs, check_part, e),
                         detected=math.comb(size, e) - _meet(data_part, check_part, e))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .code import builtin_config
@@ -54,6 +55,7 @@ class ReliabilityParams:
     epsilon: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not 0 < self.lam < math.inf:

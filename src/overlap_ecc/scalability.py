@@ -16,6 +16,7 @@ the counts alone, and reimplementing the codes is out of scope.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .hamming import MAX_CHECK_BITS, min_check_bits
@@ -44,6 +45,7 @@ class CostRow:
 
 def overlapped_cost(rows: int, cols: int) -> CostRow:
     """Cost of the two-layer code on a rows x cols area the codec can build."""
+    rows, cols = operator.index(rows), operator.index(cols)
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
     n = rows * cols

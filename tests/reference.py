@@ -152,7 +152,8 @@ def apply_pattern(cs: Codestruct, pattern: Sequence[int], region: Region) -> Cod
     m = len(cs.data)
     k = len(cs.co)
     n = m + 2 * (k + 1)
-    lo, hi = region.bounds(m, n)
+    span = region.positions(m, n)
+    lo, hi = span.start, span.stop
     bits = list(cs.bits)
     for p in pattern:
         pos = lo + p
@@ -172,8 +173,8 @@ def sweep_python_reference(cfg: OverlapConfig, region: Region, e: int,
     """
     data = (0,) * cfg.m if payload is None else as_bits(payload, cfg.m)
     clean = encode(cfg, data)
-    size = region.size(cfg.m, cfg.n)
-    base, _hi = region.bounds(cfg.m, cfg.n)
+    span = region.positions(cfg.m, cfg.n)
+    size, base = len(span), span.start
     co_start = cfg.m  # offsets from m and k, independent of Codestruct's views
     ci_start = cfg.m + cfg.k + 1
     corrected = 0

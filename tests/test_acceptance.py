@@ -103,7 +103,7 @@ def matrix():
         for name in CODES:
             cfg = builtin_config(name)
             for region in REGIONS:
-                size = region.size(cfg.m, cfg.n)
+                size = len(region.positions(cfg.m, cfg.n))
                 t0 = time.perf_counter()
                 for rep in sweep(cfg, region, 1, min(8, size), workers=1):
                     reports[(name, region.value, rep.errors)] = rep
@@ -123,7 +123,7 @@ def test_criterion_01_combination_counts():
     for name in CODES:
         cfg = builtin_config(name)
         for region in REGIONS:
-            size = region.size(cfg.m, cfg.n)
+            size = len(region.positions(cfg.m, cfg.n))
             for e in range(1, 9):
                 want = COMBINATIONS[(name, region.value)][e - 1]
                 assert math.comb(size, e) == want, (name, region.value, e)
@@ -133,8 +133,8 @@ def test_criterion_01_combination_counts():
     # cell small enough to walk inside the time budget.
     for (name, rv), counts in COMBINATIONS.items():
         cfg = builtin_config(name)
-        region = Region.parse(rv)
-        size = region.size(cfg.m, cfg.n)
+        region = Region(rv)
+        size = len(region.positions(cfg.m, cfg.n))
         for e, want in enumerate(counts, start=1):
             if 0 < want <= 4000:
                 got = sum(1 for _ in enumerate_patterns(size, e))

@@ -24,20 +24,11 @@ from overlap_ecc.search import search_assignment
 
 # --- plumbing --------------------------------------------------------------
 
-def test_region_parse_aliases():
-    assert Region.parse("all") is Region.CODESTRUCT
-    assert Region.parse("data") is Region.DATA
-    assert Region.parse("Check") is Region.CHECK
-    for token in ("headers", "check_bits"):
-        with pytest.raises(ValueError, match="unknown region"):
-            Region.parse(token)
-
-
 def test_region_bounds():
     cfg = builtin_config("3x3")
-    assert Region.DATA.bounds(cfg.m, cfg.n) == (0, 9)
-    assert Region.CHECK.bounds(cfg.m, cfg.n) == (9, 19)
-    assert Region.CODESTRUCT.size(cfg.m, cfg.n) == 19
+    assert Region.DATA.positions(cfg.m, cfg.n) == range(0, 9)
+    assert Region.CHECK.positions(cfg.m, cfg.n) == range(9, 19)
+    assert Region.CODESTRUCT.positions(cfg.m, cfg.n) == range(0, 19)
 
 
 def test_enumerate_patterns_is_lexicographic_and_complete():
@@ -67,7 +58,7 @@ def test_pure_kernel_matches_object_decoder(name, injector):
     rng = random.Random(5)
     payload = tuple(rng.randrange(2) for _ in range(cfg.m))
     for region in Region:
-        e_max = min(4, region.size(cfg.m, cfg.n))
+        e_max = min(4, len(region.positions(cfg.m, cfg.n)))
         got = sweep(cfg, region, 0, e_max, payload=payload, injector=injector)
         for r in got:
             ref = sweep_python_reference(cfg, region, r.errors, payload=payload,
@@ -90,8 +81,8 @@ def test_counting_matches_enumeration_kernel(name):
     for injector in ("mirror", "flip"):
         mirror = int(injector == "mirror")
         for region in Region:
-            size = region.size(cfg.m, cfg.n)
-            lo, hi = region.bounds(cfg.m, cfg.n)
+            span = region.positions(cfg.m, cfg.n)
+            size, lo, hi = len(span), span.start, span.stop
             e_max = 4 if region is Region.CODESTRUCT and name != "2x2" else size
             for r in sweep(cfg, region, 0, e_max, payload=payload, injector=injector):
                 e = r.errors
@@ -212,6 +203,12 @@ def test_sweep_argument_validation():
         sweep(cfg, Region.DATA, 2, 1)
     with pytest.raises(ValueError):
         sweep(cfg, Region.DATA, 1, 2, injector="sparkle")
+    # a bad payload is refused whether or not the injector reads its check bits
+    for injector in ("mirror", "flip"):
+        with pytest.raises(ValueError, match="bit values must be 0 or 1"):
+            sweep(cfg, Region.CHECK, 1, 2, payload=(1, 0, 2, 0), injector=injector)
+        with pytest.raises(ValueError, match="expected 4 bits, got 3"):
+            sweep(cfg, Region.CHECK, 1, 2, payload=(1, 0, 1), injector=injector)
 
 
 # --- report formats ----------------------------------------------------------

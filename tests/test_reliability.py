@@ -99,6 +99,9 @@ def test_masked_probability_degenerate_profiles():
     expect = n * p * (1 - p) ** (n - 1) + math.comb(n, 2) * p**2 * (1 - p) ** (n - 2)
     assert math.isclose(reliability_at(two, t) - reliability_at(zero, t), expect,
                         rel_tol=1e-12)
+    # p = 1 at t = inf: every bit has failed, so only the count sigma = n is
+    # possible and r is its epsilon
+    assert reliability_at(ReliabilityParams(n=2, lam=1.0, epsilon=(1.0, 0.25)), math.inf) == 0.25
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -158,6 +161,9 @@ def test_curve_samples_and_mttf():
     assert curve.samples[0] == (0.0, 1.0)
     assert curve.samples[-1][0] == 20000
     assert 0 < curve.mttf < 20000
+    # a horizon off the step grid still ends on the horizon itself
+    curve = reliability_curve(code_params("2x2"), 2500, 1000)
+    assert [t for t, _ in curve.samples] == [0, 1000, 2000, 2500]
 
 
 def test_curve_flat_one_integrates_to_horizon():
@@ -259,6 +265,14 @@ def test_params_validation():
             reliability_curve(params, t_max, step)
     with pytest.raises(ValueError):
         reliability_at(params, math.nan)
+
+
+def test_params_reject_a_non_integer_size():
+    with pytest.raises(TypeError):
+        ReliabilityParams(n=12.5, lam=1e-5, epsilon=(1.0,) * 8)
+    with pytest.raises(TypeError):
+        ReliabilityParams(n=12.0, lam=1e-5)
+    assert type(ReliabilityParams(n=True, lam=1e-5).n) is int
 
 
 def test_curve_sample_cap_is_exact(monkeypatch):

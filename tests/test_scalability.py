@@ -115,6 +115,13 @@ def test_cost_row_validation_and_errors():
     assert overlapped_cost(255, 255).check_bits == 2 * (16 + 1)
 
 
+def test_overlapped_cost_rejects_a_non_integer_side():
+    for rows, cols in ((2.0, 2), (2, 2.0), (2.5, 4)):
+        with pytest.raises(TypeError):
+            overlapped_cost(rows, cols)
+    assert overlapped_cost(True, 4).size == "1x4"
+
+
 def test_csv_shape():
     csv = comparison_to_csv(compare(7))
     lines = csv.strip().splitlines()
