@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .code import (
     BUILTIN_NAMES,
     Codestruct,
-    DecodeAction,
     DecodeOutcome,
     OverlapConfig,
     builtin_config,
@@ -28,7 +27,6 @@ from .search import SearchNotFoundError, search_assignment, validate_assignment
 __all__ = [
     "BUILTIN_NAMES",
     "Codestruct",
-    "DecodeAction",
     "DecodeOutcome",
     "OverlapConfig",
     "builtin_config",

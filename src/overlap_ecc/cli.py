@@ -8,7 +8,8 @@ byte, which the manifest checksums make easy to verify.
 Exit codes: 0 success, 1 usage error, 2 validation failure (verify-maps
 found colliding composite keys), 3 assignment search exhausted.  Commands
 reject input only through click (option types, ``click.UsageError``) or a
-library ``ValueError``; ``main`` alone turns either into ``error: ...``.
+library ``ValueError``, and a file that cannot be read or written raises
+``OSError``; ``main`` alone turns each into one ``error: ...`` line.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ def cmd_decode(ctx, name, hex_str, out):
         "schema": "overlap-ecc/decode/1",
         "code": name,
         "detected": res.detected,
-        "action": res.action.kind if res.action else "none",
-        "flipped_positions": list(res.action.positions) if res.action else [],
+        "action": res.kind,
+        "flipped_positions": list(res.flipped),
         "data": "".join(map(str, res.data)),
     }
     _emit(ctx, json.dumps(doc, indent=2) + "\n", out)
@@ -267,7 +268,7 @@ def main(argv=None) -> int:
     except SearchNotFoundError as e:
         click.echo(f"error: {e}", err=True)
         return EXIT_NOT_FOUND
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         return EXIT_USAGE
 

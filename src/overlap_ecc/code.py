@@ -149,13 +149,13 @@ class OverlapConfig:
     @functools.cached_property
     def repairs(self) -> tuple:
         """repairs[w][c]: syndromes s with |F(s)| = w and s ^ S(F(s)) = c, where
-        F(s) are the data flips of the decode ladder's action on s; sweep()
-        counts corrected patterns from it.  Read-only."""
+        F(s) are the data positions the decode ladder flips for s (none for a
+        clean or detected-only syndrome); sweep() counts corrected patterns
+        from it.  Read-only."""
         contrib = self.contributions
         keys = ([], [], [])
         for s in range(1 << (2 * self.k + 2)):
-            action = _ladder(self, s)
-            flips = action.positions if action else ()
+            flips = _ladder(self, s)[1]
             keys[len(flips)].append(
                 functools.reduce(operator.xor, map(contrib.__getitem__, flips), s))
         return tuple(map(collections.Counter, keys))
@@ -245,18 +245,15 @@ class Codestruct:
 
 
 @dataclass(frozen=True)
-class DecodeAction:
-    """What the decoder did: kind plus the data positions it flipped."""
-
-    kind: str  # "single_outer" | "single_inner" | "double_pair" | "detected_only"
-    positions: tuple = ()
-
-
-@dataclass(frozen=True)
 class DecodeOutcome:
+    """A decoded word: the repaired data, whether the syndrome was nonzero,
+    the ladder's kind ("none", "detected_only", "single_outer",
+    "single_inner" or "double_pair") and the data positions it flipped."""
+
     data: BitVec
     detected: bool
-    action: DecodeAction | None
+    kind: str
+    flipped: tuple
 
 
 def scan_composite_keys(outer: Sequence[int], inner: Sequence[int]) -> tuple:
@@ -322,39 +319,40 @@ def _stored_syndrome(cfg: OverlapConfig, cs: Codestruct) -> int:
     return _packed_syndrome(cfg.contributions, cs.bits)
 
 
-_action = functools.lru_cache(maxsize=None)(DecodeAction)  # one instance per distinct action
+_CLEAN = ("none", ())
+_DETECTED = ("detected_only", ())
 
 
-def _ladder(cfg: OverlapConfig, s: int) -> DecodeAction | None:
-    """The decode ladder for packed syndrome s; None for a clean word; see decode()."""
+def _ladder(cfg: OverlapConfig, s: int) -> tuple:
+    """(kind, flipped data positions) of the decode ladder for packed syndrome s; see decode()."""
     pairs = cfg.pair_table  # read first, so a colliding map raises on clean words too
     if not s:
-        return None
+        return _CLEAN
     k = cfg.k
     o = s >> (k + 1)
     i = s & ((1 << (k + 1)) - 1)
     ear_o = o >> 1
     ear_i = i >> 1
     if ear_o == 0 or ear_i == 0:
-        return _action("detected_only")
+        return _DETECTED
     pair = pairs.get((ear_o, ear_i))
     if pair is not None and cfg.decode_profile == "double_first" and not i & 1:
-        return _action("double_pair", pair)
+        return "double_pair", pair
     if o & 1:  # single error according to the outer layer
         kind, pos = "single_outer", cfg.position_of[0][ear_o]
     elif i & 1:  # single error according to the inner layer
         kind, pos = "single_inner", cfg.position_of[1][ear_i]
     else:  # both layers report doubles
-        return _action("double_pair", pair) if pair is not None else _action("detected_only")
-    return _action(kind, (pos,)) if pos >= 0 else _action("detected_only")
+        return ("double_pair", pair) if pair is not None else _DETECTED
+    return (kind, (pos,)) if pos >= 0 else _DETECTED
 
 
 def decode(cfg: OverlapConfig, cs: Codestruct) -> DecodeOutcome:
     """Single/double-error decoder.
 
     The ladder runs on the stored word's packed syndrome; a zero syndrome
-    is a clean word and needs no action.  Branch order matters.  With the
-    default ``single_first`` profile:
+    is a clean word, of kind ``none`` with nothing flipped.  Branch order
+    matters.  With the default ``single_first`` profile:
 
     1. either layer's error address is zero -> no correction (that layer saw
        nothing, or only its own parity/check bits are hit);
@@ -379,12 +377,13 @@ def decode(cfg: OverlapConfig, cs: Codestruct) -> DecodeOutcome:
     why they ship ``single_first``.
 
     Check bits are never corrected.  ``detected`` is the OR of all syndrome
-    bits, evaluated before correction.
+    bits, evaluated before correction; ``kind`` names the branch taken and
+    ``flipped`` the data positions it repaired.
     """
     s = _stored_syndrome(cfg, cs)
-    action = _ladder(cfg, s)
-    data = _flip(cs.data, action.positions) if action else cs.data
-    return DecodeOutcome(data=data, detected=s != 0, action=action)
+    kind, flips = _ladder(cfg, s)
+    data = _flip(cs.data, flips) if flips else cs.data
+    return DecodeOutcome(data=data, detected=s != 0, kind=kind, flipped=flips)
 
 
 def _flip(bits: BitVec, positions: Iterable[int]) -> BitVec:

@@ -268,7 +268,7 @@ def test_criterion_08_property_suites():
             data = tuple(rng.getrandbits(1) for _ in range(cfg.m))
             out = decode(cfg, apply_pattern(encode(cfg, data), pattern,
                                             Region.CODESTRUCT))
-            flags.append((out.data == data, out.detected, out.action.kind))
+            flags.append((out.data == data, out.detected, out.kind))
         assert flags[0] == flags[1], (name, pattern)
 
     # Builtin address maps are collision-free.

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -386,6 +388,12 @@ def test_file_report_manifests_to_sibling(capsys, tmp_path):
     assert man["arguments"][0] == "sweep"
 
 
+def test_out_into_a_missing_directory_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "scalability", "--out", tmp_path / "missing" / "x.csv")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     outs = set()
     for _ in range(3):
@@ -406,3 +414,36 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "size,N,ecc,check_bits,total_bits,rc"
+
+
+# --- README ------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    # every python block runs, and every "$ overlap-ecc ..." line exits 0 and
+    # prints exactly the lines shown under it, if any
+    monkeypatch.chdir(tmp_path)  # the search example writes maps.json
+    text = README.read_text()
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", text, re.M | re.S)
+    commands = []
+    for lang, body in blocks:
+        if lang == "python":
+            exec(compile(body, str(README), "exec"), {})
+            continue
+        shown = None  # output lines under the block's latest command
+        for line in body.splitlines(keepends=True):
+            if line.startswith("$ "):
+                shown = []
+                commands.append((line[2:], shown))
+            elif shown is not None:
+                shown.append(line)
+    assert sum(lang == "python" for lang, _ in blocks) == text.count("```python")
+    assert len(commands) == text.count("\n$ overlap-ecc ")
+    capsys.readouterr()
+    for line, shown in commands:
+        code, out, _ = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, line
+        if shown:
+            assert out == "".join(shown), line

@@ -104,7 +104,7 @@ def test_decode_clean_word():
         cfg = builtin_config(name)
         out = decode(cfg, encode(cfg, (1, 0) * (cfg.m // 2) + (1,) * (cfg.m % 2)))
         assert not out.detected
-        assert out.action is None
+        assert (out.kind, out.flipped) == ("none", ())
 
 
 def test_decode_single_data_error():
@@ -113,7 +113,8 @@ def test_decode_single_data_error():
     for pos in range(cfg.m):
         out = decode(cfg, flip(clean, cfg, pos))
         assert out.detected
-        assert out.action.kind in ("single_outer", "single_inner")
+        assert out.kind in ("single_outer", "single_inner")
+        assert out.flipped == (pos,)
         assert out.data == clean.data
 
 
@@ -130,8 +131,8 @@ def test_decode_double_data_error_uses_pair_table():
     cfg = builtin_config("3x3")
     clean = encode(cfg, "010101110")
     out = decode(cfg, flip(clean, cfg, 2, 7))
-    assert out.action.kind == "double_pair"
-    assert sorted(out.action.positions) == [2, 7]
+    assert out.kind == "double_pair"
+    assert sorted(out.flipped) == [2, 7]
     assert out.data == clean.data
 
 
@@ -184,13 +185,14 @@ def test_decode_ladder_matches_reference_ladder(name):
     assert len(pattern_of) == 1 << len(checks)
 
     for s, pattern in pattern_of.items():
-        action = decode(cfg, flip(clean, cfg, *pattern)).action
-        if action is None or not action.positions:
+        first = decode(cfg, flip(clean, cfg, *pattern))
+        if not first.flipped:
             continue
-        data_flips = list(action.positions)
+        data_flips = list(first.flipped)
         word = sorted(data_flips + pattern_of[s ^ packed_syndrome(cfg, data_flips)])
         out = decode(cfg, flip(clean, cfg, *word))
-        assert out.action is action and out.data == clean.data
+        assert (out.kind, out.flipped) == (first.kind, first.flipped)
+        assert out.data == clean.data
         assert _reference_tally(cfg, tables, word) == (1, 1)
 
 
@@ -212,9 +214,8 @@ def test_every_syndrome_action_is_pinned(name):
     for mask in range(1 << len(checks)):
         pattern = [p for b, p in enumerate(checks) if mask >> b & 1]
         s = packed_syndrome(cfg, pattern)
-        action = decode(cfg, flip(clean, cfg, *pattern)).action
-        kind, positions = (action.kind, action.positions) if action else (None, ())
-        lines[s] = f"{s} {kind or 'none'} {','.join(map(str, positions))}\n"
+        out = decode(cfg, flip(clean, cfg, *pattern))
+        lines[s] = f"{s} {out.kind} {','.join(map(str, out.flipped))}\n"
     assert sorted(lines) == list(range(1 << len(checks)))
     text = "".join(lines[s] for s in sorted(lines))
     assert hashlib.sha256(text.encode()).hexdigest() == ACTION_DIGESTS[name]
