@@ -58,6 +58,7 @@ _BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 _DIGIT_OF_BIT = b"01" + b"?" * 254
 # int(text, 16) also takes a sign, a 0x prefix, "_" and non-ASCII digits
 _HEX_DIGITS = frozenset("0123456789abcdef")
+_BITS = frozenset((0, 1))
 
 
 def _checked_layer(layer: Iterable[int], k: int) -> tuple:
@@ -316,6 +317,8 @@ def _stored_syndrome(cfg: OverlapConfig, cs: Codestruct) -> int:
     """
     if cs.k != cfg.k or len(cs.bits) != cfg.n:
         raise ValueError("codestruct does not match config geometry")
+    if not _BITS.issuperset(cs.bits):
+        raise ValueError("codestruct holds an item that is not 0 or 1")
     return _packed_syndrome(cfg.contributions, cs.bits)
 
 

@@ -120,23 +120,23 @@ def build_sweep_tables(cfg: OverlapConfig) -> dict:
 
     full_o/full_i split each position's packed syndrome contribution
     (see OverlapConfig.contributions) into its outer and inner halves,
-    (error-address bits << 1) | parity bit.  inv_flip_* turn a layer's error
-    address into a single-bit data flip mask (0 when unmapped).  dtab turns
-    the composite (outer << k) | inner key into a two-bit flip mask
-    (0 when the pair table has no entry).  profile is the integer id of the
+    (error-address bits << 1) | parity bit.  inv_flip_o/inv_flip_i are dicts
+    from a layer's error address to the single-bit data flip mask of the
+    position the map puts there; dtab is a dict from the composite
+    (outer << k) | inner key to the pair table's two-bit flip mask.  A key
+    absent from any of them flips no data.  profile is the integer id of the
     config's decode profile (0 single_first, 1 double_first).
     """
     k = cfg.k
     contributions = cfg.contributions
-    dtab = [0] * (1 << (2 * k))
-    for (ko, ki), (a, b) in cfg.pair_table.items():
-        dtab[(ko << k) | ki] = (1 << a) | (1 << b)
-    return {"m": cfg.m, "k": k, "n": cfg.n,
+    return {"m": cfg.m, "k": k,
             "full_o": [c >> (k + 1) for c in contributions],
             "full_i": [c & ((1 << (k + 1)) - 1) for c in contributions],
-            "inv_flip_o": [1 << p if p >= 0 else 0 for p in cfg.position_of[0]],
-            "inv_flip_i": [1 << p if p >= 0 else 0 for p in cfg.position_of[1]],
-            "dtab": dtab, "profile": int(cfg.decode_profile == "double_first")}
+            "inv_flip_o": {a: 1 << p for p, a in enumerate(cfg.outer)},
+            "inv_flip_i": {a: 1 << p for p, a in enumerate(cfg.inner)},
+            "dtab": {(ko << k) | ki: (1 << a) | (1 << b)
+                     for (ko, ki), (a, b) in cfg.pair_table.items()},
+            "profile": int(cfg.decode_profile == "double_first")}
 
 
 def payload_diff_field(cfg: OverlapConfig, cs: Codestruct) -> int:

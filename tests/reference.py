@@ -1,8 +1,9 @@
 """Independent reference implementations that tests compare the package against.
 
-Each oracle here is a slower, plainer version of a package routine, or a
-fixed textbook codec, kept unchanged so that a rewrite of the routine is
-checked against the code it replaced.  None of them ships in the package.
+Each oracle here is a slower, plainer version of a package routine, a
+fixed textbook codec or a Monte-Carlo estimate, kept unchanged so that a
+rewrite of the routine is checked against the code it replaced.  None of
+them ships in the package.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import itertools
 import math
 import random
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from overlap_ecc.code import Codestruct, OverlapConfig, decode, encode
 from overlap_ecc.hamming import as_bits, available_addresses, min_check_bits
@@ -96,6 +99,22 @@ def reliability_at_reference(params: ReliabilityParams, t: float) -> float:
 
     miss = sum(p_i(i) * (1.0 - params.epsilon[i - 1]) for i in range(1, params.sigma + 1))
     return min(1.0, max(0.0, 1.0 - miss))
+
+
+def mc_miss(params: ReliabilityParams, t: float, trials: int, seed: int):
+    """Monte-Carlo estimate of the miss probability 1 - r(t).
+
+    Samples the per-bit Bernoulli failure count and pays 1 - epsilon when
+    the count lands in the modelled 1..sigma window.  Returns (mean,
+    std-error).
+    """
+    p = -math.expm1(-params.lam * t)
+    rng = np.random.default_rng(seed)
+    counts = rng.binomial(params.n, p, size=trials)
+    z = np.zeros(trials)
+    for i in range(1, params.sigma + 1):
+        z[counts == i] = 1.0 - params.epsilon[i - 1]
+    return float(z.mean()), float(z.std(ddof=1) / math.sqrt(trials))
 
 
 # --- fixed Ham(7,4) reference codec -------------------------------------

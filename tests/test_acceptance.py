@@ -16,7 +16,6 @@ import math
 import random
 import time
 
-import numpy as np
 import pytest
 from reference import (
     HAM74_ADDRESS_TO_POSITION,
@@ -25,6 +24,7 @@ from reference import (
     ham74_encode,
     ham74_error_address,
     ham74_syndrome,
+    mc_miss,
 )
 
 from overlap_ecc.code import builtin_config, decode, encode
@@ -223,13 +223,7 @@ def test_criterion_07_reliability_anchors():
 
     params = ReliabilityParams(19, lam, eps)
     for t in (1000, 10000):
-        p = -math.expm1(-lam * t)
-        rng = np.random.default_rng(20260816 + t)
-        counts = rng.binomial(params.n, p, size=10**6)
-        z = np.zeros(counts.size)
-        for i in range(1, params.sigma + 1):
-            z[counts == i] = 1.0 - params.epsilon[i - 1]
-        mc, se = float(z.mean()), float(z.std(ddof=1) / math.sqrt(counts.size))
+        mc, se = mc_miss(params, t, trials=10**6, seed=20260816 + t)
         analytic = 1.0 - reliability_at(params, t)
         assert abs(analytic - mc) <= 3 * se, (t, analytic, mc, se)
     print(f"criterion 7: PASS - r(20000) anchors {r_2x2:.4f} / {r_4x4:.4f}, "

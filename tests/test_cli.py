@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from overlap_ecc import cli
+from overlap_ecc import __version__, cli
 
 
 def run(capsys, *args):
@@ -28,7 +28,7 @@ def test_help_and_version_exit_0(capsys):
     assert "verify-maps" in out
     code, out, err = run(capsys, "--version")
     assert code == 0 and err == ""
-    assert out == "overlap-ecc, version 0.1.0\n"
+    assert out == f"overlap-ecc, version {__version__}\n"
 
 
 # --- golden reports ---------------------------------------------------------------

@@ -344,9 +344,14 @@ def test_serialization_round_trips(name, data):
 @pytest.mark.parametrize("bad", [2, 32, 48, 95, -1, 256])
 def test_to_hex_rejects_a_non_bit(bad):
     # whitespace (32), "0" (48) and "_" (95) must not pass as digits either
-    cs = encode(builtin_config("2x2"), "1011")
+    cfg = builtin_config("2x2")
+    cs = encode(cfg, "1011")
     with pytest.raises(ValueError):
         Codestruct(cs.bits[:-1] + (bad,), cs.k).to_hex()
+    # decode rejects it too, in pi and in a data position
+    for word in (cs.bits[:-1] + (bad,), cs.bits[:1] + (bad,) + cs.bits[2:]):
+        with pytest.raises(ValueError):
+            decode(cfg, Codestruct(word, cs.k))
 
 
 def test_as_bits_validation():

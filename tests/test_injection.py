@@ -95,6 +95,31 @@ def test_counting_matches_enumeration_kernel(name):
                        (math.comb(size, e), *want), (injector, region, e)
 
 
+def test_enumeration_kernel_chunks_add_up():
+    # a chunk starts at combination c0 and stops after count patterns, or
+    # after the last combination below hi, whichever comes first
+    cfg = builtin_config("4x4")
+    tables = build_sweep_tables(cfg)
+    payload = (1, 0, 0, 1) * 4
+    diff = payload_diff_field(cfg, encode(cfg, payload))
+    assert 0 < diff < (1 << cfg.k) - 1  # both mirror cases occur
+    e, total = 3, math.comb(cfg.n, 3)
+    r = sweep(cfg, Region.CODESTRUCT, e, e, payload=payload)[0]
+
+    def chunk(c0, count):
+        return _sweep_py.sweep_chunk(
+            tables["full_o"], tables["full_i"], tables["inv_flip_o"], tables["inv_flip_i"],
+            tables["dtab"], tables["m"], tables["k"], e, list(c0), count, cfg.n,
+            1, diff, tables["profile"])
+
+    combos = list(itertools.combinations(range(cfg.n), e))
+    head = chunk(combos[0], 1000)
+    tail = chunk(combos[1000], total - 1000)
+    assert (head[0] + tail[0], head[1] + tail[1]) == (r.corrected, r.detected)
+    assert chunk(combos[0], total + 5) == (r.corrected, r.detected)
+    assert chunk(combos[-1], 3) == chunk(combos[-1], 1)
+
+
 def test_kernels_cover_double_first_profile():
     # 4x4 ships the up-front pair probe; make sure sweep() shares it
     cfg = builtin_config("4x4")

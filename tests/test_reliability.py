@@ -2,9 +2,8 @@
 
 import math
 
-import numpy as np
 import pytest
-from reference import reliability_at_reference, sweep_python_reference
+from reference import mc_miss, reliability_at_reference, sweep_python_reference
 
 from overlap_ecc import reliability
 from overlap_ecc.code import BUILTIN_NAMES, builtin_config
@@ -18,22 +17,6 @@ from overlap_ecc.reliability import (
     reliability_at,
     reliability_curve,
 )
-
-
-def mc_miss(params: ReliabilityParams, t: float, trials: int, seed: int):
-    """Monte-Carlo estimate of the miss probability 1 - r(t).
-
-    Samples the per-bit Bernoulli failure count and pays 1 - epsilon when
-    the count lands in the modelled 1..sigma window.  Returns (mean,
-    std-error).
-    """
-    p = -math.expm1(-params.lam * t)
-    rng = np.random.default_rng(seed)
-    counts = rng.binomial(params.n, p, size=trials)
-    z = np.zeros(trials)
-    for i in range(1, params.sigma + 1):
-        z[counts == i] = 1.0 - params.epsilon[i - 1]
-    return float(z.mean()), float(z.std(ddof=1) / math.sqrt(trials))
 
 
 # --- binomial terms P_i(t), read through r --------------------------------
