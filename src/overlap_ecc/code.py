@@ -29,10 +29,10 @@ own, built on first use.  Each position's packed syndrome contribution
 (OverlapConfig.contributions) makes a word's syndrome one XOR fold, which
 encode and decode share.  The composite pair table
 (OverlapConfig.pair_table, from build_double_error_table) resolves double
-data errors, and the per-layer inverse maps (OverlapConfig.position_of)
-resolve single ones; the decode ladder reads them for the one syndrome a
-word presents.  Check bits are never corrected: they are recomputable from
-corrected data, so only the data region is repaired.
+data errors, and the per-layer address maps (OverlapConfig.singles)
+resolve single ones.  The decode ladder reads these read-only tables for
+the one syndrome a word presents.  Check bits are never corrected: they
+are recomputable from corrected data, so only the data region is repaired.
 """
 
 from __future__ import annotations
@@ -148,27 +148,24 @@ class OverlapConfig:
         return build_double_error_table(self)
 
     @functools.cached_property
+    def singles(self) -> tuple:
+        """(outer, inner): each layer's map from a data address to the one-position flip."""
+        return tuple(types.MappingProxyType({a: (pos,) for pos, a in enumerate(layer)})
+                     for layer in (self.outer, self.inner))
+
+    @functools.cached_property
     def repairs(self) -> tuple:
         """repairs[w][c]: syndromes s with |F(s)| = w and s ^ S(F(s)) = c, where
         F(s) are the data positions the decode ladder flips for s (none for a
         clean or detected-only syndrome); sweep() counts corrected patterns
-        from it.  Read-only."""
+        from it.  Each is a read-only view of a Counter, so an absent c reads 0."""
         contrib = self.contributions
         keys = ([], [], [])
         for s in range(1 << (2 * self.k + 2)):
             flips = _ladder(self, s)[1]
             keys[len(flips)].append(
                 functools.reduce(operator.xor, map(contrib.__getitem__, flips), s))
-        return tuple(map(collections.Counter, keys))
-
-    @functools.cached_property
-    def position_of(self) -> tuple:
-        """(outer, inner): each layer's data position of all 2**k addresses, -1 if none."""
-        tables = ([-1] * (1 << self.k), [-1] * (1 << self.k))
-        for table, layer in zip(tables, (self.outer, self.inner)):
-            for pos, a in enumerate(layer):
-                table[a] = pos
-        return tuple(map(tuple, tables))
+        return tuple(types.MappingProxyType(collections.Counter(c)) for c in keys)
 
     def __getstate__(self) -> dict:  # pickle the fields; the cached tables rebuild
         return {f: self.__dict__[f] for f in self.__dataclass_fields__}
@@ -236,6 +233,8 @@ class Codestruct:
         return cls(tuple(digits.encode().translate(_BIT_OF_DIGIT)), k)
 
     def to_json_dict(self) -> dict:
+        if len(self.bits) < 2 * self.k + 3 or not _BITS.issuperset(self.bits):
+            raise ValueError(f"not a codestruct of 0/1 items for k={self.k}")
         return {
             "data": "".join(map(str, self.data)),
             "co": "".join(map(str, self.co)),
@@ -339,15 +338,15 @@ def _ladder(cfg: OverlapConfig, s: int) -> tuple:
     if ear_o == 0 or ear_i == 0:
         return _DETECTED
     pair = pairs.get((ear_o, ear_i))
-    if pair is not None and cfg.decode_profile == "double_first" and not i & 1:
+    if pair and cfg.decode_profile == "double_first" and not i & 1:
         return "double_pair", pair
     if o & 1:  # single error according to the outer layer
-        kind, pos = "single_outer", cfg.position_of[0][ear_o]
+        kind, flips = "single_outer", cfg.singles[0].get(ear_o)
     elif i & 1:  # single error according to the inner layer
-        kind, pos = "single_inner", cfg.position_of[1][ear_i]
+        kind, flips = "single_inner", cfg.singles[1].get(ear_i)
     else:  # both layers report doubles
-        return ("double_pair", pair) if pair is not None else _DETECTED
-    return (kind, (pos,)) if pos >= 0 else _DETECTED
+        kind, flips = "double_pair", pair
+    return (kind, flips) if flips else _DETECTED
 
 
 def decode(cfg: OverlapConfig, cs: Codestruct) -> DecodeOutcome:

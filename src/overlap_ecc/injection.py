@@ -149,13 +149,12 @@ def _tally(groups, e_max: int) -> list:
     group with the weights summing to w and the syndromes XORing to s."""
     counts = [collections.Counter({0: 1})] + [collections.Counter() for _ in range(e_max)]
     for options in groups:
-        grown = [row.copy() for row in counts]
-        for w, row in enumerate(counts):
-            for s, ways in row.items():
+        # top row first: every weight is >= 1, so it adds only to rows already read
+        for w in range(e_max - 1, -1, -1):
+            for s, ways in counts[w].items():
                 for syndrome, weight in options:
                     if w + weight <= e_max:
-                        grown[w + weight][s ^ syndrome] += ways
-        counts = grown
+                        counts[w + weight][s ^ syndrome] += ways
     return counts
 
 

@@ -348,10 +348,20 @@ def test_to_hex_rejects_a_non_bit(bad):
     cs = encode(cfg, "1011")
     with pytest.raises(ValueError):
         Codestruct(cs.bits[:-1] + (bad,), cs.k).to_hex()
-    # decode rejects it too, in pi and in a data position
+    # to_json_dict and decode reject it too, in pi and in a data position
     for word in (cs.bits[:-1] + (bad,), cs.bits[:1] + (bad,) + cs.bits[2:]):
         with pytest.raises(ValueError):
+            Codestruct(word, cs.k).to_json_dict()
+        with pytest.raises(ValueError):
             decode(cfg, Codestruct(word, cs.k))
+
+
+def test_to_json_dict_rejects_a_short_word():
+    # a word needs at least one data bit besides its 2k + 2 check bits
+    assert Codestruct((0,) * 9, 3).to_json_dict()["data"] == "0"
+    for n in (3, 8):
+        with pytest.raises(ValueError):
+            Codestruct((0,) * n, 3).to_json_dict()
 
 
 def test_as_bits_validation():
@@ -411,11 +421,26 @@ def test_pair_table_stays_lazy():
 
 def test_config_pickles_after_decoding():
     cfg = builtin_config("4x4")
+    sweep(cfg, Region.CODESTRUCT, 1, 2)
     decode(cfg, encode(cfg, (0,) * cfg.m))
     copy = pickle.loads(pickle.dumps(cfg))
     assert copy == cfg
-    assert "pair_table" not in vars(copy)
+    for table in ("pair_table", "singles", "repairs"):
+        assert table not in vars(copy)
     assert dict(copy.pair_table) == dict(cfg.pair_table)
+    assert list(map(dict, copy.singles)) == list(map(dict, cfg.singles))
+    assert list(map(dict, copy.repairs)) == list(map(dict, cfg.repairs))
+
+
+def test_cached_tables_are_read_only():
+    # the builtin configs are shared process-wide: a write into one of their
+    # tables would change every later decode and sweep
+    cfg = builtin_config("2x2")
+    tables = (cfg.pair_table, *cfg.singles, *cfg.repairs)
+    for table in tables:
+        with pytest.raises(TypeError):
+            table[0] = (0,)
+    assert cfg.repairs[2][-1] == 0  # an absent syndrome still counts 0
 
 
 # --- config validation -----------------------------------------------------
@@ -439,10 +464,19 @@ def test_assignment_rejects_bad_addresses():
 
 def test_assignment_accepts_the_widest_k():
     wide = _two_by_two(k=MAX_CHECK_BITS)
-    assert "position_of" not in vars(wide)  # built on first use, like the pair table
-    outer, inner = wide.position_of
-    assert len(outer) == len(inner) == 1 << MAX_CHECK_BITS
-    assert (outer[5], inner[5], outer[4], inner[1 << 15]) == (1, 0, -1, -1)
+    assert "singles" not in vars(wide)  # built on first use, like the pair table
+    # a single error decodes through m-entry maps, not 2**k-entry tables
+    word = flip(encode(wide, "1011"), wide, 1)
+    tracemalloc.start()
+    try:
+        out = decode(wide, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.data, out.kind, out.flipped) == ((1, 0, 1, 1), "single_outer", (1,))
+    assert peak < 64 * 1024
+    assert dict(wide.singles[0]) == {3: (0,), 5: (1,), 6: (2,), 7: (3,)}
+    assert dict(wide.singles[1]) == {5: (0,), 7: (1,), 3: (2,), 6: (3,)}
 
 
 @pytest.mark.parametrize("changes, error", [
