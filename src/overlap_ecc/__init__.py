@@ -21,7 +21,7 @@ from .code import (
 )
 from .injection import Region, SweepReport, active_kernel, sweep
 from .reliability import ReliabilityParams, code_params, reliability_at, reliability_curve
-from .scalability import baseline_costs, compare, overlapped_cost
+from .scalability import compare, overlapped_cost
 from .search import SearchNotFoundError, search_assignment, validate_assignment
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "code_params",
     "reliability_at",
     "reliability_curve",
-    "baseline_costs",
     "compare",
     "overlapped_cost",
     "SearchNotFoundError",

@@ -33,7 +33,8 @@ from .code import (
 from .hamming import MAX_CHECK_BITS
 from .injection import Region, reports_to_csv, reports_to_json_obj, sweep
 from .manifest import RunManifest, manifest_path, sha256_text
-from .reliability import DEFAULT_LAMBDA, code_params, curve_to_csv, reliability_curve
+from .reliability import (DEFAULT_LAMBDA, WINDOW_TOLERANCE, code_params, curve_to_csv,
+                          reliability_curve, uncharged)
 from .scalability import compare, comparison_to_csv
 from .search import SearchNotFoundError, search_assignment, validate_assignment
 
@@ -239,7 +240,12 @@ def cmd_verify_maps(ctx, name, path, out):
 @click.pass_context
 def cmd_reliability(ctx, name, lam, t_max, step, out):
     """Reliability-over-time curve and finite-horizon MTTF."""
-    curve = reliability_curve(code_params(name, lam=lam), t_max, step)
+    params = code_params(name, lam=lam)
+    curve = reliability_curve(params, t_max, step)
+    left_out = uncharged(params, t_max)
+    if left_out > WINDOW_TOLERANCE:
+        click.echo(f"warning: {name}: P(count > {params.sigma}) = {left_out:.2%} at "
+                   f"{t_max:g} days is outside the model window and not charged", err=True)
     _emit(ctx, curve_to_csv(curve), out)
 
 

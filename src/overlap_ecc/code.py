@@ -213,6 +213,8 @@ class Codestruct:
         """
         bits = self.bits
         n = len(bits)
+        if n < 2 * self.k + 3:
+            raise ValueError(f"not a codestruct for k={self.k}: {n} items")
         value = int(bytes(bits).translate(_DIGIT_OF_BIT), 2)
         return format(value << (-n % 4), f"0{(n + 3) // 4}x")
 
@@ -233,15 +235,12 @@ class Codestruct:
         return cls(tuple(digits.encode().translate(_BIT_OF_DIGIT)), k)
 
     def to_json_dict(self) -> dict:
-        if len(self.bits) < 2 * self.k + 3 or not _BITS.issuperset(self.bits):
+        """The five layout views as digit strings, read as to_hex reads (1.0 raises TypeError)."""
+        text = bytes(self.bits).translate(_DIGIT_OF_BIT).decode()
+        if len(text) < 2 * self.k + 3 or "?" in text:
             raise ValueError(f"not a codestruct of 0/1 items for k={self.k}")
-        return {
-            "data": "".join(map(str, self.data)),
-            "co": "".join(map(str, self.co)),
-            "po": str(self.po),
-            "ci": "".join(map(str, self.ci)),
-            "pi": str(self.pi),
-        }
+        views = Codestruct(text, self.k)  # the layout views slice the digits
+        return {part: getattr(views, part) for part in ("data", "co", "po", "ci", "pi")}
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Hamming address rule, check-bit bounds and the bit validator.
+"""Hamming address rule, check-bit bounds and the bit normalizer.
 
 Each layer of the overlapped code is a Hamming code over logical addresses
 (Hamming 1950): with k check bits every nonzero address below 2**k names
@@ -6,7 +6,7 @@ one position, the powers of two are the check bits' own positions, and
 every other address may carry a data bit.  ``is_data_address`` states that
 rule and ``require_k`` the bound on k; ``available_addresses`` lists the
 addresses the rule allows.  ``min_check_bits`` sizes k for m data bits, and
-``as_bits`` is the package's one bit-sequence validator.
+``as_bits`` normalizes an input bit sequence to a tuple of plain ints.
 """
 
 from __future__ import annotations

@@ -84,33 +84,23 @@ class SweepReport:
 CSV_HEADER = "code,region,errors,combinations,corrected,detected,correction_rate,detection_rate"
 
 
+def _row(r: SweepReport) -> tuple:
+    """A report's values in CSV_HEADER order, both rates rounded to two places."""
+    return (r.code, r.region.value, r.errors, r.decodings, r.corrected, r.detected,
+            round(r.correction_rate, 2), round(r.detection_rate, 2))
+
+
 def reports_to_csv(reports: Sequence[SweepReport]) -> str:
-    lines = [CSV_HEADER]
-    for r in reports:
-        lines.append(
-            f"{r.code},{r.region.value},{r.errors},{r.decodings},"
-            f"{r.corrected},{r.detected},{r.correction_rate:.2f},{r.detection_rate:.2f}"
-        )
-    return "\n".join(lines) + "\n"
+    # a rounded rate prints with :.2f as the unrounded one does
+    lines = [",".join(f"{v:.2f}" if isinstance(v, float) else str(v) for v in _row(r))
+             for r in reports]
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def reports_to_json_obj(reports: Sequence[SweepReport]) -> dict:
-    return {
-        "schema": "overlap-ecc/sweep/1",
-        "reports": [
-            {
-                "code": r.code,
-                "region": r.region.value,
-                "errors": r.errors,
-                "combinations": r.decodings,
-                "corrected": r.corrected,
-                "detected": r.detected,
-                "correction_rate": round(r.correction_rate, 2),
-                "detection_rate": round(r.detection_rate, 2),
-            }
-            for r in reports
-        ],
-    }
+    names = CSV_HEADER.split(",")
+    return {"schema": "overlap-ecc/sweep/1",
+            "reports": [dict(zip(names, _row(r))) for r in reports]}
 
 
 # --- kernel plumbing -------------------------------------------------------

@@ -63,28 +63,22 @@ _BASELINE_CHECK_BITS = {
     "CLC": (14, 19, 24, 35, 41, 47),
 }
 
-BASELINE_ORDER = tuple(_BASELINE_CHECK_BITS)
 BASELINE_SIDES = range(2, 8)
 
 
 def _baselines(side: int) -> list:
-    """The reference rows of one square side in BASELINE_ORDER; none past 7x7."""
+    """The reference rows of one square side: Matrix, PBD, CLC; none past 7x7."""
     if side not in BASELINE_SIDES:
         return []
     return [CostRow(ecc=ecc, size=f"{side}x{side}", n=side * side, check_bits=bits[side - 2])
             for ecc, bits in _BASELINE_CHECK_BITS.items()]
 
 
-def baseline_costs() -> tuple:
-    """The 18 reference rows (Matrix, PBD, CLC on 2x2..7x7), side-major."""
-    return tuple(r for side in BASELINE_SIDES for r in _baselines(side))
-
-
 def compare(max_side: int) -> list:
     """Cost rows for square areas 2x2..max_side x max_side, size-major.
 
-    Each size lists the overlapped row, then the baselines in
-    BASELINE_ORDER; baselines only exist through 7x7, so larger sizes
+    Each size lists the overlapped row, then the baselines Matrix, PBD
+    and CLC; baselines only exist through 7x7, so larger sizes
     list the overlapped row alone.
     """
     if max_side < 2:

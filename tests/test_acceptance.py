@@ -30,7 +30,7 @@ from reference import (
 from overlap_ecc.code import builtin_config, decode, encode
 from overlap_ecc.injection import Region, sweep
 from overlap_ecc.reliability import ReliabilityParams, reliability_at
-from overlap_ecc.scalability import baseline_costs, comparison_to_csv, overlapped_cost
+from overlap_ecc.scalability import compare, comparison_to_csv, overlapped_cost
 from overlap_ecc.search import validate_assignment
 
 CODES = ("2x2", "3x3", "4x4")
@@ -209,7 +209,8 @@ def test_criterion_06_redundancy_costs():
     for side, (cb, cs, rc) in zip(range(2, 8), OVERLAPPED_COSTS):
         row = overlapped_cost(side, side)
         assert (row.check_bits, row.total_bits, row.rc) == (cb, cs, rc), side
-    assert comparison_to_csv(baseline_costs()) == BASELINE_CSV
+    baselines = [r for r in compare(7) if r.ecc != "overlapped"]
+    assert comparison_to_csv(baselines) == BASELINE_CSV
     print("criterion 6: PASS - overlapped cost column exact, baselines byte-equal")
 
 

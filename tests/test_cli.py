@@ -317,6 +317,22 @@ def test_reliability_defaults(capsys):
     assert lines[-1].startswith("# mttf_days,")
 
 
+@pytest.mark.parametrize("name, warns", [("2x2", False), ("3x3", False), ("4x4", True)])
+def test_reliability_warns_when_the_window_leaves_out_mass(capsys, name, warns):
+    # the warning goes to stderr only: the golden rows pin each code's report
+    code, out, err = run(capsys, "reliability", "--code", name)
+    assert code == 0
+    lines = err.splitlines()
+    start = lines.index("{")
+    man = json.loads("\n".join(lines[start:]))  # the manifest is stderr's last JSON
+    assert man["outputs"]["stdout"] == hashlib.sha256(out.encode()).hexdigest()
+    if warns:
+        assert start == 1 and lines[0].startswith("warning: 4x4: ")
+        assert "P(count > 8) = 5.35% at 20000 days" in lines[0]
+    else:
+        assert start == 0
+
+
 def test_reliability_zero_horizon(capsys):
     code, out, _ = run(capsys, "reliability", "--code", "3x3", "--t-max", "0")
     assert code == 0

@@ -359,9 +359,24 @@ def test_to_hex_rejects_a_non_bit(bad):
 def test_to_json_dict_rejects_a_short_word():
     # a word needs at least one data bit besides its 2k + 2 check bits
     assert Codestruct((0,) * 9, 3).to_json_dict()["data"] == "0"
+    assert Codestruct((0,) * 9, 3).to_hex() == "000"
     for n in (3, 8):
-        with pytest.raises(ValueError):
-            Codestruct((0,) * n, 3).to_json_dict()
+        for text_form in (Codestruct.to_json_dict, Codestruct.to_hex):
+            with pytest.raises(ValueError):
+                text_form(Codestruct((0,) * n, 3))
+
+
+def test_to_json_dict_reads_items_as_to_hex_does():
+    cs = encode(builtin_config("2x2"), "1011")
+    # a bool is an int: a word of bools prints as its word of ints
+    as_bools = Codestruct(tuple(map(bool, cs.bits)), cs.k)
+    assert as_bools.to_json_dict() == cs.to_json_dict()
+    assert as_bools.to_hex() == cs.to_hex()
+    # a float item is no bit, even one equal to 1
+    floated = Codestruct((1.0,) + cs.bits[1:], cs.k)
+    for text_form in (Codestruct.to_json_dict, Codestruct.to_hex):
+        with pytest.raises(TypeError):
+            text_form(floated)
 
 
 def test_as_bits_validation():

@@ -16,6 +16,7 @@ from overlap_ecc.reliability import (
     curve_to_csv,
     reliability_at,
     reliability_curve,
+    uncharged,
 )
 
 
@@ -229,6 +230,17 @@ def test_code_params_sweeps_once_per_code(monkeypatch):
     assert len(calls) == 1
     assert again.epsilon == first.epsilon == CODESTRUCT_EPSILON["4x4"]
     assert (again.n, again.lam) == (first.n, 3e-4)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("t", [10000, 20000])
+def test_uncharged_is_the_binomial_tail_past_sigma(name, t):
+    params = code_params(name)
+    n = params.n
+    p = 1 - math.exp(-DEFAULT_LAMBDA * t)
+    tail = sum(math.comb(n, i) * p**i * (1 - p) ** (n - i)
+               for i in range(params.sigma + 1, n + 1))
+    assert math.isclose(uncharged(params, t), tail, rel_tol=1e-9, abs_tol=1e-15), (name, t)
 
 
 def test_params_validation():

@@ -3,13 +3,7 @@
 import pytest
 
 from overlap_ecc.code import builtin_config
-from overlap_ecc.scalability import (
-    BASELINE_ORDER,
-    baseline_costs,
-    compare,
-    comparison_to_csv,
-    overlapped_cost,
-)
+from overlap_ecc.scalability import compare, comparison_to_csv, overlapped_cost
 
 # the full expected cost table: size -> {ecc: (check_bits, total_bits, rc)}
 EXPECTED = {
@@ -38,7 +32,7 @@ def test_overlapped_costs_match_expected(side):
 
 def test_baselines_equal_stored_table():
     got = {(r.ecc, r.size): (r.check_bits, r.total_bits, r.rc)
-           for r in baseline_costs()}
+           for r in compare(7) if r.ecc != "overlapped"}
     assert len(got) == 18
     for size, per_ecc in EXPECTED.items():
         for ecc, want in per_ecc.items():
@@ -74,7 +68,7 @@ def test_compare_flags_cheapest():
     assert _cheapest(groups["2x2"]) == ("PBD",)
     for size in list(groups)[1:]:
         assert _cheapest(groups[size]) == ("overlapped",)
-        assert [r.ecc for r in groups[size]] == ["overlapped", *BASELINE_ORDER]
+        assert [r.ecc for r in groups[size]] == ["overlapped", "Matrix", "PBD", "CLC"]
 
 
 def test_overlapped_rc_non_increasing():
