@@ -244,8 +244,12 @@ def cmd_reliability(ctx, name, lam, t_max, step, out):
     curve = reliability_curve(params, t_max, step)
     left_out = uncharged(params, t_max)
     if left_out > WINDOW_TOLERANCE:
+        # past its lowest sample the windowed curve rises, so name that day
+        t_low, r_low = min(curve.samples, key=lambda sample: sample[1])
+        rises = f"; the curve is lowest at {t_low:g} days" if r_low < curve.samples[-1][1] else ""
         click.echo(f"warning: {name}: P(count > {params.sigma}) = {left_out:.2%} at "
-                   f"{t_max:g} days is outside the model window and not charged", err=True)
+                   f"{t_max:g} days is outside the model window and not charged{rises}",
+                   err=True)
     _emit(ctx, curve_to_csv(curve), out)
 
 

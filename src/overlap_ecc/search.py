@@ -22,9 +22,9 @@ forbidden when it is in the first or c XOR li(pos - 1) is in the second.
 
 The search is deterministic for a given seed.  Seed 0 tries candidate
 addresses in ascending order at every step; any other seed shuffles the
-candidate order per step with a seeded RNG.  `explored` counts every unused
-candidate examined, pruned or not; the `search` report prints it, so it is
-part of that report's golden bytes.
+candidate order per step as Random(seed).shuffle does.  `explored` counts
+every unused candidate examined, pruned or not; the `search` report prints
+it, so it is part of that report's golden bytes.
 """
 
 from __future__ import annotations
@@ -83,6 +83,33 @@ class SearchResult:
         return OverlapConfig(name=name, k=self.k, outer=self.outer, inner=self.inner)
 
 
+def _candidate_orders(n: int, seed: int):
+    """A function that returns the next node's order of the n pool indices.
+
+    Seed 0 gives range(n) every time.  Any other seed gives what
+    Random(seed).shuffle makes of list(range(n)), one shuffle per call,
+    with its draws made inline: j = getrandbits(bit length of i + 1),
+    redrawn while j > i, exactly as shuffle's _randbelow does, but
+    without a method call per swap.
+    """
+    if not seed:
+        ascending = range(n)
+        return lambda: ascending
+    getrandbits = random.Random(seed).getrandbits
+    width = [(i + 1).bit_length() for i in range(n)]
+
+    def shuffled() -> list:
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = getrandbits(width[i])
+            while j > i:
+                j = getrandbits(width[i])
+            order[i], order[j] = order[j], order[i]
+        return order
+
+    return shuffled
+
+
 def search_assignment(m: int, k: int | None = None, seed: int = 0) -> SearchResult:
     """Find a valid (outer, inner) assignment pair for m data bits.
 
@@ -100,7 +127,7 @@ def search_assignment(m: int, k: int | None = None, seed: int = 0) -> SearchResu
         raise ValueError(f"k={k} offers only {len(pool)} data addresses, need {m}")
 
     outer = pool[:m]
-    rng = random.Random(seed) if seed else None
+    candidate_order = _candidate_orders(len(pool), seed)
 
     # far[pos]: triples x < y < z < pos - 1 whose outer XOR is outer[pos];
     # near[pos]: pairs (x, y) that complete such a triple with z = pos - 1
@@ -124,12 +151,9 @@ def search_assignment(m: int, k: int | None = None, seed: int = 0) -> SearchResu
         nonlocal explored
         if pos == m:
             return True
-        order = list(range(len(pool)))
-        if rng is not None:
-            rng.shuffle(order)
         last = inner[pos - 1]  # pairs is empty at pos 0
         children = None
-        for idx in order:
+        for idx in candidate_order():
             if used[idx]:
                 continue
             explored += 1

@@ -327,10 +327,24 @@ def test_reliability_warns_when_the_window_leaves_out_mass(capsys, name, warns):
     man = json.loads("\n".join(lines[start:]))  # the manifest is stderr's last JSON
     assert man["outputs"]["stdout"] == hashlib.sha256(out.encode()).hexdigest()
     if warns:
-        assert start == 1 and lines[0].startswith("warning: 4x4: ")
-        assert "P(count > 8) = 5.35% at 20000 days" in lines[0]
+        # the default curve falls to its last sample, so the line names no minimum
+        assert start == 1 and lines[0] == ("warning: 4x4: P(count > 8) = 5.35% at 20000 days "
+                                           "is outside the model window and not charged")
     else:
         assert start == 0
+
+
+@pytest.mark.parametrize("name, lowest", [("2x2", 67000), ("3x3", 35000), ("4x4", 22000)])
+def test_reliability_warning_names_the_curves_minimum(capsys, name, lowest):
+    # past its minimum the windowed curve rises again, so its later samples are wrong
+    code, out, err = run(capsys, "reliability", "--code", name, "--t-max", "100000")
+    assert code == 0
+    warning = err.splitlines()[0]
+    assert warning.startswith(f"warning: {name}: P(count > 8) = ")
+    assert warning.endswith(f" at 100000 days is outside the model window and not charged; "
+                            f"the curve is lowest at {lowest} days")
+    samples = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:-1]]
+    assert min(samples, key=lambda sample: sample[1])[0] == lowest
 
 
 def test_reliability_zero_horizon(capsys):

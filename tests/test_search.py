@@ -1,5 +1,7 @@
 """Address-assignment search and validation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from overlap_ecc.code import BUILTIN_NAMES, OverlapConfig, builtin_config
 from overlap_ecc.hamming import MAX_CHECK_BITS, available_addresses
 from overlap_ecc.search import (
     SearchNotFoundError,
+    _candidate_orders,
     search_assignment,
     validate_assignment,
 )
@@ -100,6 +103,21 @@ def test_search_is_deterministic_per_seed():
     c = search_assignment(9, seed=8)
     assert a.inner == b.inner
     assert a.inner != c.inner or a.outer != c.outer  # overwhelmingly distinct
+
+
+@pytest.mark.parametrize("n", [4, 26, 57, 120])
+def test_seeded_candidate_order_is_random_shuffle(n):
+    # the search draws Random.shuffle's swap partners inline; a Python whose
+    # shuffle draws differently would change every seeded report, so this
+    # compares consecutive orders with shuffle itself until each generator
+    # has drawn at least 2,000 swap partners
+    assert _candidate_orders(n, 0)() == range(n)
+    for seed in range(1, 21):
+        orders, rng = _candidate_orders(n, seed), random.Random(seed)
+        for _ in range(-(-2000 // (n - 1))):
+            want = list(range(n))
+            rng.shuffle(want)
+            assert orders() == want, (n, seed)
 
 
 def _oracle_grid():
