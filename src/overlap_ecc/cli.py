@@ -188,7 +188,7 @@ def cmd_sweep(ctx, name, region_name, errors_spec, fmt, workers, injector, run_a
 @click.option("--m", "m", type=int, required=True, help="data bits")
 @click.option("--k", "k", type=int, default=None, help="check bits per layer")
 @click.option("--seed", type=int, default=0, show_default=True,
-              help="0 tries addresses in ascending order; nonzero shuffles")
+              help="0 tries addresses in ascending order; a positive seed shuffles")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.pass_context
 def cmd_search(ctx, m, k, seed, out):

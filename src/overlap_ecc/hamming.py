@@ -14,7 +14,8 @@ from __future__ import annotations
 
 BitVec = tuple  # ordered 0/1 ints
 
-#: largest check-bit count per layer: address tables have 2**k entries
+#: largest check-bit count per layer: the search pool, available_addresses(k),
+#: holds 2**k - k - 1 addresses (a sweep's cost grows faster; see injection.sweep)
 MAX_CHECK_BITS = 16
 
 # item -> plain int bit; True and 1.0 equal 1, so they look up as 1

@@ -13,7 +13,7 @@ only when the count lands inside that window and the decoder misses:
 
     r(t) = 1 - sum_{i=1..sigma} P_i(t) * (1 - epsilon_i)
 
-reliability_at and reliability_curve both evaluate it with _reliability.
+reliability_at is the one evaluator: reliability_curve and uncharged sample it.
 Counts beyond sigma are outside the modelled window and are not charged,
 so the curve is an optimistic estimate once P(count > sigma), which
 ``uncharged`` gives, stops being negligible.  At the default rate and a
@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .code import builtin_config
+from .code import OverlapConfig, builtin_config
 from .injection import Region, sweep
 
 #: failures per bit per day: one upset per bit per ~100,000 days, the
@@ -75,29 +75,29 @@ class ReliabilityParams:
     def sigma(self) -> int:
         return len(self.epsilon)
 
+    @functools.cached_property
+    def terms(self) -> tuple:
+        """r's t-independent part: each modelled (i, log C(n,i), 1 - epsilon_i)."""
+        n, log_n = self.n, math.lgamma(self.n + 1)
+        return tuple((i, log_n - math.lgamma(i + 1) - math.lgamma(n - i + 1), 1.0 - e)
+                     for i, e in enumerate(self.epsilon, 1))
+
 
 def code_params(name: str, lam: float = DEFAULT_LAMBDA) -> ReliabilityParams:
     """Params for a builtin code: its codestruct size and the sweep's rates."""
     cfg = builtin_config(name)
-    return ReliabilityParams(n=cfg.n, lam=lam, epsilon=_epsilon(cfg.name))
+    return ReliabilityParams(n=cfg.n, lam=lam, epsilon=_epsilon(cfg))
 
 
 @functools.lru_cache(maxsize=None)
-def _epsilon(name: str) -> tuple:
-    """A builtin code's correction rates for 1..SIGMA errors, swept once per name."""
-    reports = sweep(builtin_config(name), Region.CODESTRUCT, 1, SIGMA)
+def _epsilon(cfg: OverlapConfig) -> tuple:
+    """A code's correction rates for 1..SIGMA errors, swept once per config."""
+    reports = sweep(cfg, Region.CODESTRUCT, 1, SIGMA)
     return tuple(r.corrected / r.decodings for r in reports)
 
 
-def _miss_terms(params: ReliabilityParams) -> list:
-    """r's t-independent part: each modelled (i, log C(n,i), 1 - epsilon_i)."""
-    n, log_n = params.n, math.lgamma(params.n + 1)
-    return [(i, log_n - math.lgamma(i + 1) - math.lgamma(n - i + 1), 1.0 - e)
-            for i, e in enumerate(params.epsilon, 1)]
-
-
-def _reliability(params: ReliabilityParams, terms: list, t: float) -> float:
-    """1 - sum of P_i(t) (1 - epsilon_i) over terms, floored at 0.
+def reliability_at(params: ReliabilityParams, t: float) -> float:
+    """P(a reading at day t is usable): 1 - sum of P_i(t) (1 - epsilon_i), floored at 0.
 
     P_i = C(n,i) p^i (1-p)^(n-i), p = 1 - e^(-lam*t), is evaluated in log
     space so large n cannot overflow; 1-p is e^(-lam*t) exactly, which
@@ -109,17 +109,12 @@ def _reliability(params: ReliabilityParams, terms: list, t: float) -> float:
     p = -math.expm1(-lt)
     if p == 0.0 or p == 1.0:  # one count is certain: none, or all n
         whole = 0 if p == 0.0 else n
-        miss = sum(miss_i for i, _, miss_i in terms if i == whole)
+        miss = sum(miss_i for i, _, miss_i in params.terms if i == whole)
     else:
         log_p = math.log(p)
         miss = sum(math.exp(log_c + i * log_p - lt * (n - i)) * miss_i
-                   for i, log_c, miss_i in terms)
+                   for i, log_c, miss_i in params.terms)
     return max(0.0, 1.0 - miss)
-
-
-def reliability_at(params: ReliabilityParams, t: float) -> float:
-    """P(a reading at day t is usable), per the finite-window model above."""
-    return _reliability(params, _miss_terms(params), t)
 
 
 def uncharged(params: ReliabilityParams, t: float) -> float:
@@ -154,8 +149,7 @@ def reliability_curve(params: ReliabilityParams, t_max: float,
     ts = [0.0]
     while ts[-1] < t_max:
         ts.append(min(ts[-1] + step, t_max))
-    terms = _miss_terms(params)
-    samples = tuple((t, _reliability(params, terms, t)) for t in ts)
+    samples = tuple((t, reliability_at(params, t)) for t in ts)
     mttf = 0.0
     for (t0, r0), (t1, r1) in zip(samples, samples[1:]):
         mttf += (r0 + r1) * (t1 - t0) / 2.0

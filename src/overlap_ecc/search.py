@@ -21,10 +21,12 @@ node builds its children's two sets once, shared by every child: c is
 forbidden when it is in the first or c XOR li(pos - 1) is in the second.
 
 The search is deterministic for a given seed.  Seed 0 tries candidate
-addresses in ascending order at every step; any other seed shuffles the
-candidate order per step as Random(seed).shuffle does.  `explored` counts
-every unused candidate examined, pruned or not; the `search` report prints
-it, so it is part of that report's golden bytes.
+addresses in ascending order at every step; a positive seed shuffles the
+candidate order per step as Random(seed).shuffle does.  A negative seed is
+refused: Random seeds itself with |seed|, so -s would repeat seed s's search
+while the report names -s.  `explored` counts every unused candidate
+examined, pruned or not; the `search` report prints it, so it is part of
+that report's golden bytes.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class SearchResult:
 def _candidate_orders(n: int, seed: int):
     """A function that returns the next node's order of the n pool indices.
 
-    Seed 0 gives range(n) every time.  Any other seed gives what
+    Seed 0 gives range(n) every time.  A positive seed gives what
     Random(seed).shuffle makes of list(range(n)), one shuffle per call,
     with its draws made inline: j = getrandbits(bit length of i + 1),
     redrawn while j > i, exactly as shuffle's _randbelow does, but
@@ -115,11 +117,14 @@ def search_assignment(m: int, k: int | None = None, seed: int = 0) -> SearchResu
 
     The outer layer takes the m smallest usable addresses in ascending
     order; the inner layer is built position by position over the same
-    address set.  Raises SearchNotFoundError (with the number of partial
-    states explored) if the tree is exhausted.
+    address set.  Raises ValueError for a negative seed, and
+    SearchNotFoundError (with the number of partial states explored) if the
+    tree is exhausted.
     """
     if m < 2:
         raise ValueError("need at least 2 data bits")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if k is None:
         k = min_check_bits(m)
     pool = available_addresses(k)

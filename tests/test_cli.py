@@ -218,15 +218,19 @@ def test_search_emits_valid_assignment(capsys):
 
 
 def test_search_not_found_exits_3(capsys, monkeypatch):
-    from overlap_ecc.search import SearchNotFoundError
+    from overlap_ecc import search
 
-    def exhausted(m, k=None, seed=0):
-        raise SearchNotFoundError(m, k or 4, explored=4242)
+    # 3 ^ 5 ^ 9 ^ 15 == 0, so the real search runs out of inner maps
+    monkeypatch.setattr(search, "available_addresses", lambda k: (3, 5, 9, 15))
+    code, out, err = run(capsys, "search", "--m", "4", "--k", "4")
+    assert (code, out) == (3, "")
+    assert err == "error: no valid assignment for m=4, k=4 (explored 64 partial states)\n"
 
-    monkeypatch.setattr(cli, "search_assignment", exhausted)
-    code, _, err = run(capsys, "search", "--m", "9")
-    assert code == 3
-    assert "4242" in err
+
+def test_search_negative_seed_is_usage_error(capsys):
+    code, out, err = run(capsys, "search", "--m", "9", "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: seed must be >= 0, got -1\n"
 
 
 def test_search_impossible_pool_is_usage_error(capsys):
@@ -422,6 +426,16 @@ def test_out_into_a_missing_directory_is_a_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "scalability", "--out", tmp_path / "missing" / "x.csv")
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_ctrl_c_exits_1_without_an_error_line_or_manifest(capsys, monkeypatch):
+    def interrupted(max_side):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "compare", interrupted)
+    code, out, err = run(capsys, "scalability")
+    # click turns the interrupt into Abort after ending the terminal line
+    assert (code, out, err) == (1, "", "\n")
 
 
 def test_repeated_runs_are_byte_identical(capsys):

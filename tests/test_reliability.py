@@ -1,6 +1,7 @@
 """Reliability model: the closed form against a Monte-Carlo oracle."""
 
 import math
+import pickle
 
 import pytest
 from reference import mc_miss, reliability_at_reference, sweep_python_reference
@@ -268,6 +269,17 @@ def test_params_reject_a_non_integer_size():
     with pytest.raises(TypeError):
         ReliabilityParams(n=12.0, lam=1e-5)
     assert type(ReliabilityParams(n=True, lam=1e-5).n) is int
+
+
+def test_cached_terms_leave_eq_hash_repr_and_pickling_alone():
+    params = code_params("4x4")
+    fresh = ReliabilityParams(params.n, params.lam, params.epsilon)
+    before = (hash(params), repr(params))
+    r = reliability_at(params, 20000.0)
+    assert "terms" in vars(params) and "terms" not in vars(fresh)
+    assert (hash(params), repr(params)) == before and params == fresh
+    copy = pickle.loads(pickle.dumps(params))
+    assert copy == params and reliability_at(copy, 20000.0) == r
 
 
 def test_curve_sample_cap_is_exact(monkeypatch):

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import search_assignment_reference
 
+from overlap_ecc import search as search_module
 from overlap_ecc.code import BUILTIN_NAMES, OverlapConfig, builtin_config
 from overlap_ecc.hamming import MAX_CHECK_BITS, available_addresses
 from overlap_ecc.search import (
@@ -134,7 +136,7 @@ def _oracle_grid():
 
 
 def test_search_matches_the_reference_kernel():
-    # No small geometry exhausts the tree, so SearchNotFoundError has no case here.
+    # No small geometry exhausts the tree; a patched pool does, further down.
     for m, k, seed in _oracle_grid():
         got = search_assignment(m, k, seed)
         want = search_assignment_reference(m, k, seed)
@@ -150,6 +152,24 @@ def test_search_explored_counts_are_pinned(m, k, seed, explored):
     res = search_assignment(m, k, seed)
     assert res.explored == explored
     assert validate_assignment(res.outer, res.inner).ok
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_search_runs_out_on_a_pool_that_xors_to_zero(monkeypatch, seed):
+    # 3 ^ 5 ^ 9 ^ 15 == 0, so every inner map of the four repeats a composite key
+    for module in (search_module, reference):
+        monkeypatch.setattr(module, "available_addresses", lambda k: (3, 5, 9, 15))
+    for search in (search_assignment, search_assignment_reference):
+        with pytest.raises(SearchNotFoundError) as err:
+            search(4, k=4, seed=seed)
+        assert (err.value.m, err.value.k, err.value.explored) == (4, 4, 64)
+
+
+def test_search_refuses_a_negative_seed():
+    # Random(-s) is seeded like Random(s), so -s would repeat seed s's search
+    for seed in (-1, -3):
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+            search_assignment(25, k=5, seed=seed)
 
 
 def test_search_respects_explicit_k():
