@@ -46,23 +46,19 @@ EXIT_NOT_FOUND = 3
 
 def _emit(ctx: click.Context, text: str, out: str | None, seed=None) -> None:
     """Write the report and its manifest."""
-    if out:
-        Path(out).write_text(text)
-        target = out
-    else:
-        click.echo(text, nl=False)
-        target = "stdout"
     man = RunManifest(
         command=ctx.info_name or "",
         arguments=tuple(ctx.obj.get("argv", ())),
         version=__version__,
-        outputs={target: sha256_text(text)},
+        outputs={out or "stdout": sha256_text(text)},
         seed=seed,
-    )
+    ).to_json()
     if out:
-        Path(manifest_path(out)).write_text(man.to_json() + "\n")
+        Path(out).write_text(text)
+        Path(manifest_path(out)).write_text(man + "\n")
     else:
-        click.echo(man.to_json(), err=True)
+        click.echo(text, nl=False)
+        click.echo(man, err=True)
 
 
 def _parse_error_range(spec: str) -> tuple:

@@ -13,7 +13,7 @@ only when the count lands inside that window and the decoder misses:
 
     r(t) = 1 - sum_{i=1..sigma} P_i(t) * (1 - epsilon_i)
 
-reliability_at is the one evaluator: reliability_curve and uncharged sample it.
+miss_at is the one evaluator of that miss mass; reliability_at and uncharged read it.
 Counts beyond sigma are outside the modelled window and are not charged,
 so the curve is an optimistic estimate once P(count > sigma), which
 ``uncharged`` gives, stops being negligible.  At the default rate and a
@@ -96,8 +96,8 @@ def _epsilon(cfg: OverlapConfig) -> tuple:
     return tuple(r.corrected / r.decodings for r in reports)
 
 
-def reliability_at(params: ReliabilityParams, t: float) -> float:
-    """P(a reading at day t is usable): 1 - sum of P_i(t) (1 - epsilon_i), floored at 0.
+def miss_at(params: ReliabilityParams, t: float) -> float:
+    """P(the count at day t is modelled and missed): sum of P_i(t) (1 - epsilon_i).
 
     P_i = C(n,i) p^i (1-p)^(n-i), p = 1 - e^(-lam*t), is evaluated in log
     space so large n cannot overflow; 1-p is e^(-lam*t) exactly, which
@@ -109,18 +109,21 @@ def reliability_at(params: ReliabilityParams, t: float) -> float:
     p = -math.expm1(-lt)
     if p == 0.0 or p == 1.0:  # one count is certain: none, or all n
         whole = 0 if p == 0.0 else n
-        miss = sum(miss_i for i, _, miss_i in params.terms if i == whole)
-    else:
-        log_p = math.log(p)
-        miss = sum(math.exp(log_c + i * log_p - lt * (n - i)) * miss_i
-                   for i, log_c, miss_i in params.terms)
-    return max(0.0, 1.0 - miss)
+        return sum((miss_i for i, _, miss_i in params.terms if i == whole), 0.0)
+    log_p = math.log(p)
+    return sum((math.exp(log_c + i * log_p - lt * (n - i)) * miss_i
+                for i, log_c, miss_i in params.terms), 0.0)
+
+
+def reliability_at(params: ReliabilityParams, t: float) -> float:
+    """P(a reading at day t is usable): 1 - miss_at, floored at 0."""
+    return max(0.0, 1.0 - miss_at(params, t))
 
 
 def uncharged(params: ReliabilityParams, t: float) -> float:
-    """P(count > sigma) at day t: r with every epsilon_i = 0, less P_0 = e^(-lam*t*n)."""
-    blank = ReliabilityParams(params.n, params.lam, (0.0,) * params.sigma)
-    return reliability_at(blank, t) - math.exp(-params.lam * t * params.n)
+    """P(count > sigma) at day t: the miss with 1..sigma masked and every later count charged."""
+    n, sigma = params.n, params.sigma
+    return miss_at(ReliabilityParams(n, params.lam, (1.0,) * sigma + (0.0,) * (n - sigma)), t)
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,9 @@ def test_sweep_usage_errors(capsys):
     assert run(capsys, "sweep", "--code", "2x2", "--errors", "4..2")[0] == 1
     assert run(capsys, "sweep", "--code", "2x2", "--region", "nowhere")[0] == 1
     assert run(capsys, "sweep", "--code", "2x2", "--workers", "0")[0] == 1
+    # a negative count is refused before any row is swept or skipped as infeasible
+    assert run(capsys, "sweep", "--code", "2x2", "--region", "data", "--errors", "-3..10") == (
+        1, "", "error: bad --errors '-3..10': want 0 <= N <= M\n")
     # --all fixes every cell, so it refuses the options that pick one
     for extra in (["--code", "2x2"], ["--region", "data"], ["--errors", "3"],
                   ["--code", "2x2", "--region", "data", "--errors", "3"]):
@@ -300,6 +303,15 @@ def test_verify_file_rejects_malformed_maps(capsys, tmp_path, text):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_verify_file_blames_the_address_not_a_k_below_two(capsys, tmp_path):
+    # address 1 fits in one bit, but the smallest k a maps file gets is 2
+    path = tmp_path / "maps.json"
+    path.write_text('{"outer": [1], "inner": [1]}')
+    code, out, err = run(capsys, "verify-maps", "--file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: address 1 at position 0 ") and "k=2" in err
 
 
 def test_verify_requires_exactly_one_source(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -35,6 +36,12 @@ def test_checksum_falls_back_to_hashlib(monkeypatch):
         importlib.reload(manifest)
     assert manifest.sha256 is not hashlib.sha256
     assert _digests(manifest.sha256_text) == WANT
+
+
+def test_outputs_are_listed_in_sorted_order():
+    man = manifest.RunManifest(command="x", arguments=(), version="v",
+                               outputs={"b": "2", "a": "1"})
+    assert list(json.loads(man.to_json())["outputs"].items()) == [("a", "1"), ("b", "2")]
 
 
 CHILD = """

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
 from reference import mc_miss, reliability_at_reference, sweep_python_reference
@@ -15,6 +16,7 @@ from overlap_ecc.reliability import (
     ReliabilityParams,
     code_params,
     curve_to_csv,
+    miss_at,
     reliability_at,
     reliability_curve,
     uncharged,
@@ -242,6 +244,39 @@ def test_uncharged_is_the_binomial_tail_past_sigma(name, t):
     tail = sum(math.comb(n, i) * p**i * (1 - p) ** (n - i)
                for i in range(params.sigma + 1, n + 1))
     assert math.isclose(uncharged(params, t), tail, rel_tol=1e-9, abs_tol=1e-15), (name, t)
+
+
+def exact_mass(params: ReliabilityParams, t: float, charge) -> Fraction:
+    """sum_i C(n,i) p^i (1-p)^(n-i) * charge(i) in Fractions, from the floats
+    p = -expm1(-lam t) and 1 - p = exp(-lam t) that the evaluator starts from."""
+    n, p, q = params.n, Fraction(-math.expm1(-params.lam * t)), Fraction(math.exp(-params.lam * t))
+    return sum(math.comb(n, i) * p**i * q ** (n - i) * charge(i) for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_miss_mass_is_the_exact_binomial_sum(name):
+    params = code_params(name)
+    sigma = params.sigma
+    for t in (0.01, 0.1, 1, 10, 100, 1e3, 1e4, 2e4):
+        miss = exact_mass(params, t, lambda i: 1 - Fraction(params.epsilon[i - 1])
+                          if i <= sigma else 0)
+        tail = exact_mass(params, t, lambda i: int(i > sigma))
+        assert math.isclose(miss_at(params, t), miss, rel_tol=1e-12, abs_tol=0), (name, t)
+        assert math.isclose(uncharged(params, t), tail, rel_tol=1e-12, abs_tol=0), (name, t)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_uncharged_is_never_negative(name):
+    # the tail is a sum of non-negative terms, with no difference that could cancel below 0
+    params = code_params(name)
+    assert all(uncharged(params, t) >= 0.0 for t in range(0, 20001, 50)), name
+
+
+def test_uncharged_is_zero_when_the_window_covers_the_word():
+    for params in (ReliabilityParams(n=12, lam=DEFAULT_LAMBDA, epsilon=(0.25,) * 12),
+                   ReliabilityParams(n=3, lam=1.0, epsilon=(1.0, 0.0, 0.5))):
+        for t in (0, 0.01, 1e3, 2e4, 1e6, math.inf):
+            assert uncharged(params, t) == 0.0, (params, t)
 
 
 def test_params_validation():
