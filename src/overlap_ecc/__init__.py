@@ -34,7 +34,6 @@ __all__ = [
     "encode",
     "Region",
     "SweepReport",
-    "active_kernel",
     "sweep",
     "ReliabilityParams",
     "code_params",

@@ -155,16 +155,28 @@ class OverlapConfig:
 
     @functools.cached_property
     def repairs(self) -> tuple:
-        """repairs[w][c]: syndromes s with |F(s)| = w and s ^ S(F(s)) = c, where
-        F(s) are the data positions the decode ladder flips for s (none for a
-        clean or detected-only syndrome); sweep() counts corrected patterns
-        from it.  Each is a read-only view of a Counter, so an absent c reads 0."""
+        """repairs[w][c] for w = 1, 2: syndromes s with |F(s)| = w and
+        s ^ S(F(s)) = c, where F(s) are the data positions the decode ladder
+        flips for s; repairs[0][s] is -1 for each s with F(s) nonempty.
+        sweep() counts corrected patterns from it.  The ladder flips only
+        where a table matches, so only these syndromes are decoded: an odd
+        outer half whose address is in outer, an odd inner half whose address
+        is in inner, and a pair_table key under any parities.  Each is a
+        read-only view of a Counter, so an absent c reads 0."""
+        k = self.k
+        halves = range(1 << (k + 1))
+        walk = {(a << 1 | 1) << (k + 1) | h for a in self.outer for h in halves}
+        walk.update(h << (k + 1) | a << 1 | 1 for a in self.inner for h in halves)
+        walk.update((ko << 1 | po) << (k + 1) | ki << 1 | pi
+                    for ko, ki in self.pair_table for po in (0, 1) for pi in (0, 1))
         contrib = self.contributions
-        keys = ([], [], [])
-        for s in range(1 << (2 * self.k + 2)):
+        keys = ({}, [], [])
+        for s in walk:
             flips = _ladder(self, s)[1]
-            keys[len(flips)].append(
-                functools.reduce(operator.xor, map(contrib.__getitem__, flips), s))
+            if flips:
+                keys[0][s] = -1
+                keys[len(flips)].append(
+                    functools.reduce(operator.xor, map(contrib.__getitem__, flips), s))
         return tuple(types.MappingProxyType(collections.Counter(c)) for c in keys)
 
     def __getstate__(self) -> dict:  # pickle the fields; the cached tables rebuild

@@ -164,13 +164,6 @@ def sweep(cfg: OverlapConfig, region: Region, e_min: int, e_max: int,
     A pattern is a data part d plus a check part c, and the decoder sees
     s = S(d) ^ S'(c), S' keeping the check flips that land: it is undetected
     iff S'(c) = S(d), and corrected iff d = F(s), i.e. S'(c) = s ^ S(F(s)).
-
-    The first sweep of a config builds cfg.repairs over all 2^(2k+2)
-    syndromes, so a wide k costs about 4x time and memory per step: with
-    the 2x2 maps at k = 8, 9 and 10, sweep(cfg, Region.DATA, 1, 2) took
-    0.23, 0.9-1.2 and 3.9-4.1 s at process peaks of 40, 115 and 416 MB
-    (2 CPUs, Python 3.11).  k = 12 would need several GB; the k bound of 16
-    does not keep a sweep small.
     """
     if injector not in ("mirror", "flip"):
         raise ValueError(f"injector must be 'mirror' or 'flip', got {injector!r}")
@@ -194,10 +187,11 @@ def sweep(cfg: OverlapConfig, region: Region, e_min: int, e_max: int,
                            (co if mirror and not differ else co ^ ci, 2)))
     check_part = _tally(checks, e_max)
     data_part = _tally([((contrib[p], 1),) for p in span if p < cfg.m], e_max)
-    # F(s) holds data bits only: a region without them repairs with F(s) empty
+    # a check part alone (d empty) is corrected unless F repairs its syndrome, which
+    # repairs[0] takes back; F(s) holds data bits only, so a region without them reads only it
     repairs = cfg.repairs if span.start < cfg.m else cfg.repairs[:1]
     return [SweepReport(code=cfg.name, region=region, errors=e, decodings=math.comb(size, e),
-                        corrected=_meet(repairs, check_part, e),
+                        corrected=sum(check_part[e].values()) + _meet(repairs, check_part, e),
                         detected=math.comb(size, e) - _meet(data_part, check_part, e))
             for e in range(e_min, e_max + 1)]
 

@@ -47,6 +47,18 @@ MUTANTS = [
      "(0 if mirror and differ else ci, 1)",
      "(ci, 1)",
      "a mirrored ci_j flip lands alone when co_j and ci_j differ"),
+    ("src/overlap_ecc/code.py",
+     "        walk.update(h << (k + 1) | a << 1 | 1 for a in self.inner for h in halves)\n",
+     "",
+     "the repair walk visits every odd inner half holding an inner address"),
+    ("src/overlap_ecc/code.py",
+     "for po in (0, 1)",
+     "for po in (0,)",
+     "the repair walk visits pair keys under an odd outer parity too"),
+    ("src/overlap_ecc/injection.py",
+     "corrected=sum(check_part[e].values()) + _meet(repairs, check_part, e),",
+     "corrected=_meet(repairs, check_part, e),",
+     "a check part alone is corrected unless repairs[0] takes its syndrome back"),
     ("src/overlap_ecc/reliability.py",
      "    n, sigma = params.n, params.sigma\n"
      "    return miss_at(ReliabilityParams(n, params.lam, (1.0,) * sigma + (0.0,) * (n - sigma)), t)",

@@ -8,14 +8,18 @@ them ships in the package.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
+import operator
 import random
+import types
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from overlap_ecc.code import Codestruct, OverlapConfig, decode, encode
+from overlap_ecc.code import Codestruct, OverlapConfig, _ladder, decode, encode
 from overlap_ecc.hamming import as_bits, available_addresses, min_check_bits
 from overlap_ecc.injection import Region, SweepReport
 from overlap_ecc.reliability import ReliabilityParams
@@ -155,6 +159,33 @@ def ham74_error_address(syndrome: Sequence[int]) -> int:
     """
     s = as_bits(syndrome, 3)
     return (s[0] << 2) | (s[1] << 1) | s[2]
+
+
+# --- repair table reference ------------------------------------------------
+
+def repairs_reference(cfg: OverlapConfig) -> tuple:
+    """The dense repair table, as `OverlapConfig.repairs` built it before its sparse walk.
+
+    repairs[w][c]: syndromes s with |F(s)| = w and s ^ S(F(s)) = c, decoded
+    over all 2^(2k+2) syndromes, so repairs[0] counts 1 for each s with
+    F(s) empty.
+    """
+    contrib = cfg.contributions
+    keys = ([], [], [])
+    for s in range(1 << (2 * cfg.k + 2)):
+        flips = _ladder(cfg, s)[1]
+        keys[len(flips)].append(
+            functools.reduce(operator.xor, map(contrib.__getitem__, flips), s))
+    return tuple(types.MappingProxyType(collections.Counter(c)) for c in keys)
+
+
+def repair_walk_bound(cfg: OverlapConfig) -> int:
+    """Most syndromes the ladder can repair: 2 m 2^(k+1) + 4 C(m, 2).
+
+    Each has an odd outer half holding an outer address, an odd inner half
+    holding an inner address, or a pair-table key with any parities.
+    """
+    return 2 * cfg.m * (1 << (cfg.k + 1)) + 4 * math.comb(cfg.m, 2)
 
 
 # --- object-level sweep reference ------------------------------------------

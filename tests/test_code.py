@@ -11,10 +11,12 @@ import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import repair_walk_bound, repairs_reference
 
 from overlap_ecc import _sweep_py
 from overlap_ecc.code import (
     BUILTIN_NAMES,
+    DECODE_PROFILES,
     Codestruct,
     OverlapConfig,
     as_bits,
@@ -23,7 +25,7 @@ from overlap_ecc.code import (
     decode,
     encode,
 )
-from overlap_ecc.hamming import MAX_CHECK_BITS
+from overlap_ecc.hamming import MAX_CHECK_BITS, min_check_bits
 from overlap_ecc.injection import Region, build_sweep_tables, sweep
 from overlap_ecc.search import search_assignment
 
@@ -221,6 +223,27 @@ def test_every_syndrome_action_is_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == ACTION_DIGESTS[name]
 
 
+def _searched_maps():
+    """Searched maps with m = 5, 9 and 16 at the smallest k and one above, under both profiles."""
+    for m in (5, 9, 16):
+        for k in (min_check_bits(m), min_check_bits(m) + 1):
+            cfg = search_assignment(m, k=k, seed=0).to_config(f"m{m}k{k}")
+            for profile in DECODE_PROFILES:
+                yield dataclasses.replace(cfg, decode_profile=profile)
+
+
+@pytest.mark.parametrize("cfg", [*map(builtin_config, BUILTIN_NAMES), *_searched_maps()],
+                         ids=lambda cfg: f"{cfg.name}-{cfg.decode_profile}")
+def test_repairs_match_the_dense_table(cfg):
+    # the walk decodes only where a table can match, so it must find every
+    # syndrome the ladder repairs; repairs[0] lists them, each at -1
+    dense = repairs_reference(cfg)
+    assert list(map(dict, cfg.repairs[1:])) == list(map(dict, dense[1:]))
+    assert dict(cfg.repairs[0]) == {s: -1 for s in range(1 << (2 * cfg.k + 2))
+                                    if s not in dense[0]}
+    assert len(cfg.repairs[0]) <= repair_walk_bound(cfg)
+
+
 def test_decode_on_a_wide_map():
     # k = 9: a syndrome has 20 bits, so the first decode must not build
     # anything that grows with 2**(2k+2)
@@ -238,6 +261,21 @@ def test_decode_on_a_wide_map():
         assert decode(cfg, flip(clean, cfg, a)).data == clean.data
         for b in range(a + 1, cfg.n):
             assert decode(cfg, flip(clean, cfg, a, b)).data == clean.data
+
+
+def test_sweep_on_a_wide_map_stays_small():
+    # the repair table lists only the syndromes the ladder repairs, not all
+    # 2**20 of them (a 105 MB peak when it did)
+    cfg = search_assignment(16, k=9, seed=0).to_config("wide")
+    tracemalloc.start()
+    try:
+        reports = sweep(cfg, Region.CODESTRUCT, 1, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert [(r.decodings, r.corrected) for r in reports] == [(36, 36), (630, 630)]
+    assert len(cfg.repairs[0]) <= repair_walk_bound(cfg)
 
 
 # --- decode profiles -------------------------------------------------------

@@ -7,10 +7,21 @@ import random
 import weakref
 
 import pytest
-from reference import apply_pattern, enumerate_patterns, sweep_python_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import apply_pattern, enumerate_patterns, repair_walk_bound, sweep_python_reference
 
 from overlap_ecc import _sweep_py
-from overlap_ecc.code import BUILTIN_NAMES, Codestruct, OverlapConfig, builtin_config, decode, encode
+from overlap_ecc.code import (
+    BUILTIN_NAMES,
+    DECODE_PROFILES,
+    Codestruct,
+    OverlapConfig,
+    builtin_config,
+    decode,
+    encode,
+)
+from overlap_ecc.hamming import min_check_bits
 from overlap_ecc.injection import (
     Region,
     build_sweep_tables,
@@ -147,6 +158,30 @@ def test_wide_searched_config_matches_reference():
         for pattern in enumerate_patterns(cfg.n, e):
             out = decode(cfg, apply_pattern(clean, pattern, Region.CODESTRUCT))
             assert out.detected and out.data == clean.data, pattern
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_sweep_matches_the_object_sweep_on_random_maps(data):
+    # a wider k leaves more syndromes out of the repair walk, so a branch
+    # the walk misses shows there
+    m = data.draw(st.integers(3, 12), label="m")
+    k = data.draw(st.integers(min_check_bits(m), min_check_bits(m) + 2), label="k")
+    found = search_assignment(m, k=k, seed=data.draw(st.integers(0, 1000), label="seed"))
+    layers = (found.outer, found.inner)
+    if data.draw(st.booleans(), label="swapped"):
+        layers = layers[::-1]
+    cfg = OverlapConfig("random", k, *layers,
+                        decode_profile=data.draw(st.sampled_from(DECODE_PROFILES), label="profile"))
+    region = data.draw(st.sampled_from(Region), label="region")
+    injector = data.draw(st.sampled_from(("mirror", "flip")), label="injector")
+    payload = tuple(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m), label="payload"))
+    e = data.draw(st.integers(1, 3), label="errors")
+    got = sweep(cfg, region, e, e, payload=payload, injector=injector)[0]
+    ref = sweep_python_reference(cfg, region, e, payload=payload, injector=injector)
+    assert (got.decodings, got.corrected, got.detected) == \
+           (ref.decodings, ref.corrected, ref.detected)
+    assert len(cfg.repairs[0]) <= repair_walk_bound(cfg)
 
 
 def test_sweep_keeps_no_config_alive():
