@@ -1,28 +1,50 @@
-"""The enumeration reference kernel.
+"""The enumeration reference kernel and its integer tables; no command imports it.
 
 Processes a contiguous lexicographic range of error patterns of fixed weight
 and tallies decoder outcomes.  It writes out its own copy of the decode
-ladder over integer tables (injection.build_sweep_tables), independent of
-the codec's own ladder (code._ladder), so the tests and the benchmark can
-pin it against the codec and the exact counts of injection.sweep().
+ladder over integer tables, independent of the codec's own ladder
+(code._ladder), so the tests and the benchmark can pin it against the codec
+and the exact counts of injection.sweep().
 
 Patterns are combinations of absolute bit positions.  Each pattern is
 decoded on its own: its syndrome is the XOR of its positions' packed
 contributions (address bits shifted left by one, parity bit in bit 0).
+
+The tables: full_o/full_i split each position's packed contribution
+(OverlapConfig.contributions) into its outer and inner halves;
+inv_flip_o/inv_flip_i map a layer's error address to the single-bit data
+flip mask of the position the map puts there; dtab maps the composite
+(outer << k) | inner key to the pair table's two-bit flip mask, and a key
+absent from any of them flips no data.  profile is the id of the config's
+decode profile (0 single_first, 1 double_first).
 """
 
 from __future__ import annotations
+
+from .code import OverlapConfig
+
+
+def build_sweep_tables(cfg: OverlapConfig) -> dict:
+    """Precomputed integer tables the reference kernel consumes."""
+    k = cfg.k
+    contributions = cfg.contributions
+    return {"m": cfg.m, "k": k,
+            "full_o": [c >> (k + 1) for c in contributions],
+            "full_i": [c & ((1 << (k + 1)) - 1) for c in contributions],
+            "inv_flip_o": {a: 1 << p for p, a in enumerate(cfg.outer)},
+            "inv_flip_i": {a: 1 << p for p, a in enumerate(cfg.inner)},
+            "dtab": {(ko << k) | ki: (1 << a) | (1 << b)
+                     for (ko, ki), (a, b) in cfg.pair_table.items()},
+            "profile": int(cfg.decode_profile == "double_first")}
 
 
 def sweep_chunk(full_o, full_i, inv_flip_o, inv_flip_i, dtab,
                 m, k, e, c0, count, hi, mirror, diff_field, profile):
     """Decode `count` patterns starting at combination `c0`.
 
-    full_o/full_i: per-position packed syndrome contributions (len n);
-    inv_flip_o/inv_flip_i: error address -> data flip mask; dtab: composite
-    key (outer << k) | inner -> pair flip mask; an absent key flips nothing.
-    m data bits, k check bits per layer, weight e, positions drawn from
-    [c0[0]..hi), c0 ascending; stops early after the last combination.
+    The first five arguments and m, k, profile are build_sweep_tables'
+    entries.  Weight e, positions drawn from [c0[0]..hi), c0 ascending;
+    stops early after the last combination.
 
     With mirror set, a flipped inner check bit ci_j is realized as "store
     the complement of co_j" (parities are exempt and flip normally), so it

@@ -48,7 +48,7 @@ def _emit(ctx: click.Context, text: str, out: str | None, seed=None) -> None:
     """Write the report and its manifest."""
     man = RunManifest(
         command=ctx.info_name or "",
-        arguments=tuple(ctx.obj.get("argv", ())),
+        arguments=tuple((ctx.obj or {}).get("argv", ())),  # only main() hands click the argv
         version=__version__,
         outputs={out or "stdout": sha256_text(text)},
         seed=seed,

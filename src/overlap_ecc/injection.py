@@ -5,9 +5,10 @@ bits, or the whole codestruct) is applied to an encoded word; the decoder
 runs and two counters accumulate: patterns whose syndromes flagged anything
 (detected) and patterns after which the data region equals the original
 payload (corrected).  sweep() counts both exactly from the decode ladder's
-action on each syndrome.  The integer kernel in _sweep_py decodes every
-pattern one by one as an independent reference; the tests also compare
-sweep() with an object-level sweep through the public decoder.
+action on each syndrome.  The tests pin them against two independent
+references: the enumeration kernel in _sweep_py, which decodes every pattern
+one by one over its own integer tables and which no command imports, and an
+object-level sweep through the public decoder.
 
 Two injector behaviors are supported:
 
@@ -29,15 +30,18 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import _sweep_py as _kernel  # enumeration reference; benchmarks/perfbench/probes.py races it
 from .code import Codestruct, OverlapConfig, encode
 
 
-def __getattr__(name: str):  # sweeps start no pool: only benchmarks/perfbench/tracing.py asks
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor
+def __getattr__(name: str):
+    # ProcessPoolExecutor, _kernel and build_sweep_tables exist only for benchmarks/perfbench
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    if name in ("_kernel", "build_sweep_tables"):
+        from . import _sweep_py
+        return _sweep_py if name == "_kernel" else _sweep_py.build_sweep_tables
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def active_kernel() -> str:
@@ -101,32 +105,6 @@ def reports_to_json_obj(reports: Sequence[SweepReport]) -> dict:
     names = CSV_HEADER.split(",")
     return {"schema": "overlap-ecc/sweep/1",
             "reports": [dict(zip(names, _row(r))) for r in reports]}
-
-
-# --- kernel plumbing -------------------------------------------------------
-
-def build_sweep_tables(cfg: OverlapConfig) -> dict:
-    """Precomputed integer tables the reference kernel (_sweep_py) consumes.
-
-    full_o/full_i split each position's packed syndrome contribution
-    (see OverlapConfig.contributions) into its outer and inner halves,
-    (error-address bits << 1) | parity bit.  inv_flip_o/inv_flip_i are dicts
-    from a layer's error address to the single-bit data flip mask of the
-    position the map puts there; dtab is a dict from the composite
-    (outer << k) | inner key to the pair table's two-bit flip mask.  A key
-    absent from any of them flips no data.  profile is the integer id of the
-    config's decode profile (0 single_first, 1 double_first).
-    """
-    k = cfg.k
-    contributions = cfg.contributions
-    return {"m": cfg.m, "k": k,
-            "full_o": [c >> (k + 1) for c in contributions],
-            "full_i": [c & ((1 << (k + 1)) - 1) for c in contributions],
-            "inv_flip_o": {a: 1 << p for p, a in enumerate(cfg.outer)},
-            "inv_flip_i": {a: 1 << p for p, a in enumerate(cfg.inner)},
-            "dtab": {(ko << k) | ki: (1 << a) | (1 << b)
-                     for (ko, ki), (a, b) in cfg.pair_table.items()},
-            "profile": int(cfg.decode_profile == "double_first")}
 
 
 def payload_diff_field(cfg: OverlapConfig, cs: Codestruct) -> int:

@@ -65,6 +65,14 @@ MUTANTS = [
      "    blank = ReliabilityParams(params.n, params.lam, (0.0,) * params.sigma)\n"
      "    return reliability_at(blank, t) - math.exp(-params.lam * t * params.n)",
      "uncharged sums the tail past sigma, not 1 - sum P_i - P_0, which cancels below 0"),
+    ("src/overlap_ecc/injection.py",
+     "from .code import Codestruct, OverlapConfig, encode\n",
+     "from . import _sweep_py\nfrom .code import Codestruct, OverlapConfig, encode\n",
+     "no command imports the enumeration reference kernel"),
+    ("src/overlap_ecc/cli.py",
+     'tuple((ctx.obj or {}).get("argv", ()))',
+     'tuple(ctx.obj.get("argv", ()))',
+     "the click group runs without main(), which alone passes ctx.obj"),
 ]
 
 

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from overlap_ecc import __version__, cli
 
@@ -421,6 +422,17 @@ def test_stdout_report_manifests_to_stderr(capsys):
     assert man["schema"] == "overlap-ecc/manifest/1"
     assert man["command"] == "scalability"
     assert man["outputs"]["stdout"] == hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_the_click_group_runs_without_main(capsys):
+    argv = ["sweep", "--code", "2x2", "--errors", "1"]
+    code, out, err = run(capsys, *argv)
+    result = CliRunner().invoke(cli.cli, argv)
+    assert (code, result.exit_code) == (0, 0), result.exception
+    # output is stdout then stderr, as a terminal shows them; click hands the
+    # group no raw argv, so its manifest records none
+    assert result.output.startswith(out)
+    assert json.loads(result.output[len(out):]) == {**json.loads(err), "arguments": []}
 
 
 def test_file_report_manifests_to_sibling(capsys, tmp_path):

@@ -26,7 +26,8 @@ from overlap_ecc.code import (
     encode,
 )
 from overlap_ecc.hamming import MAX_CHECK_BITS, min_check_bits
-from overlap_ecc.injection import Region, build_sweep_tables, sweep
+from overlap_ecc._sweep_py import build_sweep_tables
+from overlap_ecc.injection import Region, sweep
 from overlap_ecc.search import search_assignment
 
 

@@ -54,15 +54,28 @@ for argv in [["--version"], ["encode", "--code", "2x2", "--data", "1011"],
     code = cli.main(argv)
     if code != 0:
         sys.exit(f"{argv} exited {code}")
-sys.exit("_hashlib" in sys.modules and "a command loaded OpenSSL's _hashlib")
+loaded = [name for name in sys.argv[1:] if name in sys.modules]
+if loaded:
+    sys.exit(f"a command loaded {', '.join(loaded)}")
 """
+
+
+def _run_every_command(*unloaded):
+    """Run every command in one fresh process, which then must not hold `unloaded`."""
+    src = str(Path(manifest.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", CHILD, *unloaded], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_no_command_loads_openssl():
     # hashlib maps OpenSSL's libcrypto into the process (about 3.6 MB of
     # peak memory); every command's manifest is computed without it
-    src = str(Path(manifest.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    proc = _run_every_command("_hashlib")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_no_command_loads_the_reference_kernel_or_a_pool():
+    # sweeps count in one process; only the tests and the benchmark read _sweep_py
+    proc = _run_every_command("overlap_ecc._sweep_py", "concurrent.futures")
     assert proc.returncode == 0, proc.stderr[-2000:]
