@@ -1,9 +1,11 @@
 """Command-line interface wiring the codec, sweeps and models together.
 
-Every command prints its report to stdout (or ``--out <path>``) and emits a
-run manifest alongside: to stderr for stdout reports, to ``<path>.manifest.json``
-for file reports.  Reports are deterministic for fixed arguments, byte for
-byte, which the manifest checksums make easy to verify.
+Every command hands its report to ``_emit``, which prints it to stdout (or
+``--out <path>``) and emits a run manifest alongside: to stderr for stdout
+reports, to ``<path>.manifest.json`` for file reports.  ``_emit`` reads the
+command, its argv and its ``--seed`` from click's current context.  Reports
+are deterministic for fixed arguments, byte for byte, which the manifest
+checksums make easy to verify.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure (verify-maps
 found colliding composite keys), 3 assignment search exhausted.  Commands
@@ -32,7 +34,7 @@ from .code import (
 )
 from .hamming import MAX_CHECK_BITS
 from .injection import Region, reports_to_csv, reports_to_json_obj, sweep
-from .manifest import RunManifest, manifest_path, sha256_text
+from .manifest import RunManifest, sha256_text
 from .reliability import (DEFAULT_LAMBDA, WINDOW_TOLERANCE, code_params, curve_to_csv,
                           reliability_curve, uncharged)
 from .scalability import compare, comparison_to_csv
@@ -44,18 +46,20 @@ EXIT_INVALID = 2
 EXIT_NOT_FOUND = 3
 
 
-def _emit(ctx: click.Context, text: str, out: str | None, seed=None) -> None:
-    """Write the report and its manifest."""
+def _emit(report: str | dict, out: str | None) -> None:
+    """Write the running command's report, text or a JSON document, and its manifest."""
+    ctx = click.get_current_context()
+    text = report if isinstance(report, str) else json.dumps(report, indent=2) + "\n"
     man = RunManifest(
         command=ctx.info_name or "",
         arguments=tuple((ctx.obj or {}).get("argv", ())),  # only main() hands click the argv
         version=__version__,
         outputs={out or "stdout": sha256_text(text)},
-        seed=seed,
+        seed=ctx.params.get("seed"),
     ).to_json()
     if out:
         Path(out).write_text(text)
-        Path(manifest_path(out)).write_text(man + "\n")
+        Path(out + ".manifest.json").write_text(man + "\n")
     else:
         click.echo(text, nl=False)
         click.echo(man, err=True)
@@ -102,21 +106,19 @@ def cli():
 @click.option("--code", "name", type=click.Choice(BUILTIN_NAMES), required=True)
 @click.option("--data", "data_str", required=True, help="payload bits, row-major")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
-def cmd_encode(ctx, name, data_str, out):
+def cmd_encode(name, data_str, out):
     """Encode payload bits into a codestruct (hex plus fields)."""
     cs = encode_word(builtin_config(name), data_str)
     doc = {"schema": "overlap-ecc/codestruct/1", "code": name,
            "hex": cs.to_hex(), **cs.to_json_dict()}
-    _emit(ctx, json.dumps(doc, indent=2) + "\n", out)
+    _emit(doc, out)
 
 
 @cli.command("decode")
 @click.option("--code", "name", type=click.Choice(BUILTIN_NAMES), required=True)
 @click.option("--hex", "hex_str", required=True, help="stored codestruct as hex")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
-def cmd_decode(ctx, name, hex_str, out):
+def cmd_decode(name, hex_str, out):
     """Decode a stored codestruct, reporting the repair taken."""
     cfg = builtin_config(name)
     res = decode_word(cfg, Codestruct.from_hex(hex_str, cfg.m, cfg.k))
@@ -128,7 +130,7 @@ def cmd_decode(ctx, name, hex_str, out):
         "flipped_positions": list(res.flipped),
         "data": "".join(map(str, res.data)),
     }
-    _emit(ctx, json.dumps(doc, indent=2) + "\n", out)
+    _emit(doc, out)
 
 
 @cli.command("sweep")
@@ -147,13 +149,12 @@ def cmd_decode(ctx, name, hex_str, out):
 @click.option("--all", "run_all", is_flag=True,
               help="every builtin code and region at 1..8 errors")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
-def cmd_sweep(ctx, name, region_name, errors_spec, fmt, workers, injector, run_all, out):
+def cmd_sweep(name, region_name, errors_spec, fmt, workers, injector, run_all, out):
     """Exhaustive fault-injection sweep(s); correction and detection rates."""
     if run_all:
         cell = (("name", "--code"), ("region_name", "--region"), ("errors_spec", "--errors"))
-        given = [opt for param, opt in cell
-                 if ctx.get_parameter_source(param) is ParameterSource.COMMANDLINE]
+        source = click.get_current_context().get_parameter_source
+        given = [opt for param, opt in cell if source(param) is ParameterSource.COMMANDLINE]
         if given:
             raise click.UsageError(f"--all sweeps every code and region at 1..8 errors; "
                                    f"drop {', '.join(given)}")
@@ -173,11 +174,7 @@ def cmd_sweep(ctx, name, region_name, errors_spec, fmt, workers, injector, run_a
                        f"{max(e_min, size + 1)}..{e_max}, region has only {size} bits", err=True)
         if e_min <= size:
             reports.extend(sweep(cfg, region, e_min, min(e_max, size), injector=injector))
-    if fmt == "csv":
-        text = reports_to_csv(reports)
-    else:
-        text = json.dumps(reports_to_json_obj(reports), indent=2) + "\n"
-    _emit(ctx, text, out)
+    _emit(reports_to_csv(reports) if fmt == "csv" else reports_to_json_obj(reports), out)
 
 
 @cli.command("search")
@@ -186,14 +183,13 @@ def cmd_sweep(ctx, name, region_name, errors_spec, fmt, workers, injector, run_a
 @click.option("--seed", type=int, default=0, show_default=True,
               help="0 tries addresses in ascending order; a positive seed shuffles")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
-def cmd_search(ctx, m, k, seed, out):
+def cmd_search(m, k, seed, out):
     """Search a valid (outer, inner) address assignment pair."""
     res = search_assignment(m, k=k, seed=seed)
     doc = {"schema": "overlap-ecc/assignment/1", "m": res.m, "k": res.k,
            "seed": seed, "outer": list(res.outer), "inner": list(res.inner),
            "explored_states": res.explored}
-    _emit(ctx, json.dumps(doc, indent=2) + "\n", out, seed=seed)
+    _emit(doc, out)
 
 
 @cli.command("verify-maps")
@@ -201,8 +197,7 @@ def cmd_search(ctx, m, k, seed, out):
 @click.option("--file", "path", type=click.Path(exists=True, dir_okay=False),
               default=None, help='JSON with "outer" and "inner" address lists')
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
-def cmd_verify_maps(ctx, name, path, out):
+def cmd_verify_maps(name, path, out):
     """Check an assignment pair for composite-key collisions."""
     if (name is None) == (path is None):
         raise click.UsageError("pass exactly one of --builtin or --file")
@@ -219,9 +214,9 @@ def cmd_verify_maps(ctx, name, path, out):
         for first, second, key in report.collisions:
             lines.append(f"  positions {first} and {second} share key "
                          f"(outer^={key[0]}, inner^={key[1]})")
-    _emit(ctx, "\n".join(lines) + "\n", out)
+    _emit("\n".join(lines) + "\n", out)
     if not report.ok:
-        ctx.exit(EXIT_INVALID)
+        click.get_current_context().exit(EXIT_INVALID)
 
 
 @cli.command("reliability")
@@ -233,8 +228,7 @@ def cmd_verify_maps(ctx, name, path, out):
 @click.option("--step", type=click.FloatRange(0, min_open=True), default=1000.0,
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
-def cmd_reliability(ctx, name, lam, t_max, step, out):
+def cmd_reliability(name, lam, t_max, step, out):
     """Reliability-over-time curve and finite-horizon MTTF."""
     params = code_params(name, lam=lam)
     curve = reliability_curve(params, t_max, step)
@@ -246,17 +240,16 @@ def cmd_reliability(ctx, name, lam, t_max, step, out):
         click.echo(f"warning: {name}: P(count > {params.sigma}) = {left_out:.2%} at "
                    f"{t_max:g} days is outside the model window and not charged{rises}",
                    err=True)
-    _emit(ctx, curve_to_csv(curve), out)
+    _emit(curve_to_csv(curve), out)
 
 
 @cli.command("scalability")
 @click.option("--max", "max_side", type=click.IntRange(min=2), default=7,
               show_default=True, help="largest square side to cost")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
-def cmd_scalability(ctx, max_side, out):
+def cmd_scalability(max_side, out):
     """Redundancy costs per square size, against the reference codes."""
-    _emit(ctx, comparison_to_csv(compare(max_side)), out)
+    _emit(comparison_to_csv(compare(max_side)), out)
 
 
 def main(argv=None) -> int:

@@ -51,7 +51,3 @@ class RunManifest:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
 
-
-def manifest_path(out_path: str) -> str:
-    """Sibling path for a report written to out_path."""
-    return out_path + ".manifest.json"

@@ -73,6 +73,14 @@ MUTANTS = [
      'tuple((ctx.obj or {}).get("argv", ()))',
      'tuple(ctx.obj.get("argv", ()))',
      "the click group runs without main(), which alone passes ctx.obj"),
+    ("src/overlap_ecc/cli.py",
+     'seed=ctx.params.get("seed")',
+     "seed=None",
+     "a search manifest records its seed"),
+    ("src/overlap_ecc/cli.py",
+     "click.get_current_context().exit(EXIT_INVALID)",
+     "return EXIT_INVALID",
+     "verify-maps exits 2 through the click group too, which drops a returned code"),
 ]
 
 

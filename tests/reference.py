@@ -19,9 +19,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from overlap_ecc import _sweep_py
 from overlap_ecc.code import Codestruct, OverlapConfig, _ladder, decode, encode
 from overlap_ecc.hamming import as_bits, available_addresses, min_check_bits
-from overlap_ecc.injection import Region, SweepReport
+from overlap_ecc.injection import Region, SweepReport, payload_diff_field
 from overlap_ecc.reliability import ReliabilityParams
 from overlap_ecc.search import SearchNotFoundError, SearchResult
 
@@ -248,3 +249,22 @@ def sweep_python_reference(cfg: OverlapConfig, region: Region, e: int,
             corrected += 1
     return SweepReport(code=cfg.name, region=region, errors=e,
                        decodings=total, corrected=corrected, detected=detected)
+
+
+def sweep_kernel_reference(cfg: OverlapConfig, region: Region, e: int, payload=None,
+                           injector: str = "mirror", c0=None, count=None) -> tuple:
+    """(corrected, detected) of the enumeration reference kernel, `_sweep_py.sweep_chunk`.
+
+    Decodes `count` weight-e patterns of the region from combination c0
+    (absolute positions, ascending); by default every pattern of the region.
+    The kernel writes out its own decode ladder, independent of `code._ladder`.
+    """
+    span = region.positions(cfg.m, cfg.n)
+    data = (0,) * cfg.m if payload is None else as_bits(payload, cfg.m)
+    mirror = int(injector == "mirror")
+    t = _sweep_py.build_sweep_tables(cfg)
+    return _sweep_py.sweep_chunk(
+        t["full_o"], t["full_i"], t["inv_flip_o"], t["inv_flip_i"], t["dtab"], t["m"], t["k"],
+        e, list(range(span.start, span.start + e) if c0 is None else c0),
+        math.comb(len(span), e) if count is None else count, span.stop,
+        mirror, payload_diff_field(cfg, encode(cfg, data)) * mirror, t["profile"])

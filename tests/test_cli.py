@@ -268,6 +268,20 @@ def test_verify_collision_exits_2(capsys, tmp_path):
     assert man["outputs"]["stdout"] == hashlib.sha256(out.encode()).hexdigest()
 
 
+def test_verify_collision_exits_2_through_the_click_group(capsys, tmp_path):
+    # click's standalone mode drops a command's return value, so exit 2 must
+    # come from the context, the way the installed script runs too
+    bad = tmp_path / "maps.json"
+    addrs = [3, 5, 6, 7, 9, 10, 11, 12, 13]
+    bad.write_text(json.dumps({"outer": addrs, "inner": addrs}))
+    argv = ["verify-maps", "--file", str(bad)]
+    _, out, err = run(capsys, *argv)
+    result = CliRunner().invoke(cli.cli, argv)
+    assert result.exit_code == 2, result.exception
+    assert out.startswith("invalid:") and result.output.startswith(out)
+    assert json.loads(result.output[len(out):]) == {**json.loads(err), "arguments": []}
+
+
 def test_verify_file_reads_search_output(capsys, tmp_path):
     code, out, _ = run(capsys, "search", "--m", "9", "--k", "5")
     assert code == 0
@@ -422,6 +436,13 @@ def test_stdout_report_manifests_to_stderr(capsys):
     assert man["schema"] == "overlap-ecc/manifest/1"
     assert man["command"] == "scalability"
     assert man["outputs"]["stdout"] == hashlib.sha256(out.encode()).hexdigest()
+    assert man["seed"] is None  # only search takes a seed
+
+
+def test_search_manifest_records_its_seed(capsys):
+    code, out, err = run(capsys, "search", "--m", "9", "--seed", "3")
+    assert code == 0
+    assert json.loads(out)["seed"] == json.loads(err)["seed"] == 3
 
 
 def test_the_click_group_runs_without_main(capsys):

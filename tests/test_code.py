@@ -11,9 +11,8 @@ import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import repair_walk_bound, repairs_reference
+from reference import repair_walk_bound, repairs_reference, sweep_kernel_reference
 
-from overlap_ecc import _sweep_py
 from overlap_ecc.code import (
     BUILTIN_NAMES,
     DECODE_PROFILES,
@@ -26,7 +25,6 @@ from overlap_ecc.code import (
     encode,
 )
 from overlap_ecc.hamming import MAX_CHECK_BITS, min_check_bits
-from overlap_ecc._sweep_py import build_sweep_tables
 from overlap_ecc.injection import Region, sweep
 from overlap_ecc.search import search_assignment
 
@@ -160,12 +158,10 @@ def test_decode_parity_plus_data_is_single():
     assert out.data == clean.data
 
 
-def _reference_tally(cfg: OverlapConfig, tables: dict, pattern: list) -> tuple:
+def _reference_tally(cfg: OverlapConfig, pattern: list) -> tuple:
     """(corrected, detected) of the sweep kernel's ladder on one flip pattern."""
-    return _sweep_py.sweep_chunk(
-        tables["full_o"], tables["full_i"], tables["inv_flip_o"], tables["inv_flip_i"],
-        tables["dtab"], tables["m"], tables["k"], len(pattern), pattern, 1, cfg.n,
-        0, 0, tables["profile"])
+    return sweep_kernel_reference(cfg, Region.CODESTRUCT, len(pattern), injector="flip",
+                                  c0=pattern, count=1)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -175,7 +171,6 @@ def test_decode_ladder_matches_reference_ladder(name):
     # adding the action's own data flips (and re-aiming the check bits at the
     # same syndrome) is corrected iff both ladders flip exactly those bits.
     cfg = builtin_config(name)
-    tables = build_sweep_tables(cfg)
     clean = encode(cfg, (0,) * cfg.m)
     checks = range(cfg.m, cfg.n)
     pattern_of = {}
@@ -183,7 +178,7 @@ def test_decode_ladder_matches_reference_ladder(name):
         pattern = [p for b, p in enumerate(checks) if mask >> b & 1]
         out = decode(cfg, flip(clean, cfg, *pattern))
         pattern_of[packed_syndrome(cfg, pattern)] = pattern
-        assert _reference_tally(cfg, tables, pattern) == \
+        assert _reference_tally(cfg, pattern) == \
             (int(out.data == clean.data), int(out.detected))
     assert len(pattern_of) == 1 << len(checks)
 
@@ -196,7 +191,7 @@ def test_decode_ladder_matches_reference_ladder(name):
         out = decode(cfg, flip(clean, cfg, *word))
         assert (out.kind, out.flipped) == (first.kind, first.flipped)
         assert out.data == clean.data
-        assert _reference_tally(cfg, tables, word) == (1, 1)
+        assert _reference_tally(cfg, word) == (1, 1)
 
 
 # SHA-256 of "{s} {kind} {positions}" lines, one per packed syndrome s

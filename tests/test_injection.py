@@ -6,14 +6,15 @@ import itertools
 import math
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import apply_pattern, enumerate_patterns, repair_walk_bound, sweep_python_reference
+from reference import (apply_pattern, enumerate_patterns, repair_walk_bound,
+                       sweep_kernel_reference, sweep_python_reference)
 
 from overlap_ecc import _sweep_py, active_kernel, code, injection
-from overlap_ecc._sweep_py import build_sweep_tables
 from overlap_ecc.code import (
     BUILTIN_NAMES,
     DECODE_PROFILES,
@@ -32,6 +33,8 @@ from overlap_ecc.injection import (
     sweep,
 )
 from overlap_ecc.search import search_assignment
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 # --- plumbing --------------------------------------------------------------
@@ -95,7 +98,6 @@ def test_pure_kernel_matches_object_decoder(name, injector):
 def test_counting_matches_enumeration_kernel(name):
     # sweep() counts; sweep_chunk decodes every pattern one by one
     cfg = builtin_config(name)
-    tables = build_sweep_tables(cfg)
     rng = random.Random(3)
     while True:
         payload = tuple(rng.randrange(2) for _ in range(cfg.m))
@@ -103,18 +105,12 @@ def test_counting_matches_enumeration_kernel(name):
         if 0 < diff < (1 << cfg.k) - 1:  # both mirror cases occur
             break
     for injector in ("mirror", "flip"):
-        mirror = int(injector == "mirror")
         for region in Region:
-            span = region.positions(cfg.m, cfg.n)
-            size, lo, hi = len(span), span.start, span.stop
+            size = len(region.positions(cfg.m, cfg.n))
             e_max = 4 if region is Region.CODESTRUCT and name != "2x2" else size
             for r in sweep(cfg, region, 0, e_max, payload=payload, injector=injector):
                 e = r.errors
-                want = _sweep_py.sweep_chunk(
-                    tables["full_o"], tables["full_i"], tables["inv_flip_o"],
-                    tables["inv_flip_i"], tables["dtab"], tables["m"], tables["k"],
-                    e, list(range(lo, lo + e)), math.comb(size, e), hi, mirror,
-                    diff * mirror, tables["profile"])
+                want = sweep_kernel_reference(cfg, region, e, payload, injector)
                 assert (r.decodings, r.corrected, r.detected) == \
                        (math.comb(size, e), *want), (injector, region, e)
 
@@ -123,7 +119,6 @@ def test_enumeration_kernel_chunks_add_up():
     # a chunk starts at combination c0 and stops after count patterns, or
     # after the last combination below hi, whichever comes first
     cfg = builtin_config("4x4")
-    tables = build_sweep_tables(cfg)
     payload = (1, 0, 0, 1) * 4
     diff = payload_diff_field(cfg, encode(cfg, payload))
     assert 0 < diff < (1 << cfg.k) - 1  # both mirror cases occur
@@ -131,10 +126,7 @@ def test_enumeration_kernel_chunks_add_up():
     r = sweep(cfg, Region.CODESTRUCT, e, e, payload=payload)[0]
 
     def chunk(c0, count):
-        return _sweep_py.sweep_chunk(
-            tables["full_o"], tables["full_i"], tables["inv_flip_o"], tables["inv_flip_i"],
-            tables["dtab"], tables["m"], tables["k"], e, list(c0), count, cfg.n,
-            1, diff, tables["profile"])
+        return sweep_kernel_reference(cfg, Region.CODESTRUCT, e, payload, "mirror", c0, count)
 
     combos = list(itertools.combinations(range(cfg.n), e))
     head = chunk(combos[0], 1000)
@@ -194,6 +186,9 @@ def test_sweep_matches_the_object_sweep_on_random_maps(data):
     ref = sweep_python_reference(cfg, region, e, payload=payload, injector=injector)
     assert (got.decodings, got.corrected, got.detected) == \
            (ref.decodings, ref.corrected, ref.detected)
+    # a second oracle: the reference kernel decodes through its own ladder, not code._ladder
+    assert (got.corrected, got.detected) == \
+           sweep_kernel_reference(cfg, region, e, payload, injector)
     assert len(cfg.repairs[0]) <= repair_walk_bound(cfg)
 
 
@@ -282,6 +277,18 @@ def test_sweep_argument_validation():
             sweep(cfg, Region.CHECK, 1, 2, payload=(1, 0, 2, 0), injector=injector)
         with pytest.raises(ValueError, match="expected 4 bits, got 3"):
             sweep(cfg, Region.CHECK, 1, 2, payload=(1, 0, 1), injector=injector)
+
+
+@pytest.mark.parametrize("name, weight, undetected, decodings", [
+    ("2x2", 6, 6, 924), ("3x3", 11, 83, 75582), ("4x4", 6, 161, 376740)])
+def test_lowest_detection_past_weight_4(name, weight, undetected, decodings):
+    # README's "Builtin codes" quotes each code's lowest full-word detection rate
+    cfg = builtin_config(name)
+    low = min(sweep(cfg, Region.CODESTRUCT, 5, cfg.n), key=lambda r: r.detected / r.decodings)
+    assert (low.errors, low.decodings - low.detected, low.decodings) == \
+           (weight, undetected, decodings)
+    assert (f"{low.detection_rate:.2f}% for {name} ({undetected:,} of {decodings:,} "
+            f"undetected at weight {weight})") in " ".join(README.read_text().split())
 
 
 # --- report formats ----------------------------------------------------------
