@@ -423,33 +423,23 @@ def _flip(bits: BitVec, positions: Iterable[int]) -> BitVec:
 # single-error aliases reachable from check-bit-only corruption.  The
 # acceptance sweep in tests/test_acceptance.py locks in the resulting rates.
 
-_BUILTIN = {
-    "2x2": {
-        "k": 3,
-        # search_assignment(m=4, k=3, seed=2)
-        "outer": (3, 5, 6, 7),
-        "inner": (5, 7, 3, 6),
-    },
-    "3x3": {
-        "k": 4,
-        "outer": (11, 13, 3, 10, 12, 5, 14, 6, 15),
-        "inner": (9, 7, 14, 13, 10, 12, 5, 3, 15),
-    },
-    "4x4": {
-        "k": 5,
-        "outer": (17, 24, 29, 10, 15, 3, 23, 26, 12, 6, 18, 5, 20, 27, 31, 9),
-        "inner": (6, 9, 5, 29, 23, 24, 20, 18, 30, 17, 12, 3, 27, 15, 26, 10),
-        "decode_profile": "double_first",
-    },
-}
+_BUILTIN = {cfg.name: cfg for cfg in (
+    # search_assignment(m=4, k=3, seed=2)
+    OverlapConfig("2x2", 3, outer=(3, 5, 6, 7), inner=(5, 7, 3, 6)),
+    OverlapConfig("3x3", 4, outer=(11, 13, 3, 10, 12, 5, 14, 6, 15),
+                  inner=(9, 7, 14, 13, 10, 12, 5, 3, 15)),
+    OverlapConfig("4x4", 5,
+                  outer=(17, 24, 29, 10, 15, 3, 23, 26, 12, 6, 18, 5, 20, 27, 31, 9),
+                  inner=(6, 9, 5, 29, 23, 24, 20, 18, 30, 17, 12, 3, 27, 15, 26, 10),
+                  decode_profile="double_first"),
+)}
 
 BUILTIN_NAMES = tuple(sorted(_BUILTIN))
 
 
-@functools.lru_cache(maxsize=None)
 def builtin_config(name: str) -> OverlapConfig:
-    """One of the shipped configurations: '2x2', '3x3' or '4x4'."""
-    key = name.lower()
-    if key not in _BUILTIN:
+    """One of the shipped configurations: '2x2', '3x3' or '4x4', in any case."""
+    cfg = _BUILTIN.get(name.lower())
+    if cfg is None:
         raise ValueError(f"unknown code {name!r}; available: {', '.join(BUILTIN_NAMES)}")
-    return OverlapConfig(name=key, **_BUILTIN[key])
+    return cfg

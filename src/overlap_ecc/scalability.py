@@ -63,15 +63,11 @@ _BASELINE_CHECK_BITS = {
     "CLC": (14, 19, 24, 35, 41, 47),
 }
 
-BASELINE_SIDES = range(2, 8)
-
-
-def _baselines(side: int) -> list:
-    """The reference rows of one square side: Matrix, PBD, CLC; none past 7x7."""
-    if side not in BASELINE_SIDES:
-        return []
-    return [CostRow(ecc=ecc, size=f"{side}x{side}", n=side * side, check_bits=bits[side - 2])
-            for ecc, bits in _BASELINE_CHECK_BITS.items()]
+# the reference rows of each square side, Matrix, PBD and CLC; none past 7x7
+_BASELINES = {side: tuple(CostRow(ecc=ecc, size=f"{side}x{side}", n=side * side,
+                                  check_bits=bits[side - 2])
+                          for ecc, bits in _BASELINE_CHECK_BITS.items())
+              for side in range(2, 8)}
 
 
 def compare(max_side: int) -> list:
@@ -87,7 +83,7 @@ def compare(max_side: int) -> list:
     out = []
     for side in range(2, max_side + 1):
         out.append(overlapped_cost(side, side))
-        out.extend(_baselines(side))
+        out.extend(_BASELINES.get(side, ()))
     return out
 
 

@@ -81,6 +81,14 @@ MUTANTS = [
      "click.get_current_context().exit(EXIT_INVALID)",
      "return EXIT_INVALID",
      "verify-maps exits 2 through the click group too, which drops a returned code"),
+    ("src/overlap_ecc/code.py",
+     "_BUILTIN.get(name.lower())",
+     "_BUILTIN.get(name)",
+     "a builtin's name is case-blind"),
+    ("src/overlap_ecc/scalability.py",
+     "_BASELINES.get(side, ())",
+     "()",
+     "each size through 7x7 lists Matrix, PBD and CLC"),
 ]
 
 

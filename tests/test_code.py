@@ -560,3 +560,12 @@ def test_config_normalizes_layers_to_int_tuples():
 def test_builtin_config_unknown_name():
     with pytest.raises(ValueError):
         builtin_config("5x5")
+
+
+def test_builtin_config_is_one_object_per_code():
+    # every spelling returns the stored config, so the tables one sweep
+    # builds serve every later caller of that code
+    for name in BUILTIN_NAMES:
+        assert builtin_config(name.upper()) is builtin_config(name)
+    sweep(builtin_config("4x4"), Region.CODESTRUCT, 1, 2)
+    assert "repairs" in vars(builtin_config("4X4"))
