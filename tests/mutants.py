@@ -70,17 +70,21 @@ MUTANTS = [
      "from . import _sweep_py\nfrom .code import Codestruct, OverlapConfig, encode\n",
      "no command imports the enumeration reference kernel"),
     ("src/overlap_ecc/cli.py",
-     'tuple((ctx.obj or {}).get("argv", ()))',
-     'tuple(ctx.obj.get("argv", ()))',
-     "the click group runs without main(), which alone passes ctx.obj"),
+     "    def error(self, message):\n        raise ValueError(message)\n",
+     "",
+     "a usage error exits 1, where argparse alone would exit 2"),
     ("src/overlap_ecc/cli.py",
-     'seed=ctx.params.get("seed")',
+     'self._negative_number_matcher = re.compile(r"-\\d")',
+     "pass",
+     "--errors -3..10 reaches its own check, not argparse's 'expected one argument'"),
+    ("src/overlap_ecc/cli.py",
+     'seed=getattr(args, "seed", None)',
      "seed=None",
      "a search manifest records its seed"),
     ("src/overlap_ecc/cli.py",
-     "click.get_current_context().exit(EXIT_INVALID)",
-     "return EXIT_INVALID",
-     "verify-maps exits 2 through the click group too, which drops a returned code"),
+     "return EXIT_OK if report.ok else EXIT_INVALID",
+     "return EXIT_OK",
+     "verify-maps exits 2 on colliding maps"),
     ("src/overlap_ecc/code.py",
      "_BUILTIN.get(name.lower())",
      "_BUILTIN.get(name)",

@@ -10,7 +10,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from overlap_ecc import __version__, cli
 
@@ -19,6 +18,18 @@ def run(capsys, *args):
     code = cli.main([str(a) for a in args])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*args):
+    """``python -m overlap_ecc.cli`` in a fresh interpreter, as the console script runs."""
+    # the child imports the package under test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "overlap_ecc.cli", *map(str, args)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 # --- help / version -------------------------------------------------------------
@@ -30,6 +41,15 @@ def test_help_and_version_exit_0(capsys):
     code, out, err = run(capsys, "--version")
     assert code == 0 and err == ""
     assert out == f"overlap-ecc, version {__version__}\n"
+
+
+def test_a_missing_or_unknown_command_is_one_error_line(capsys):
+    code, out, err = run(capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "command" in err
+    code, out, err = run(capsys, "bogus")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'bogus'" in err
 
 
 # --- golden reports ---------------------------------------------------------------
@@ -144,9 +164,9 @@ def test_sweep_region_is_a_case_blind_choice(capsys):
     for bad in ("headers", "check_bits", "nowhere", " data"):
         code, out, err = run(capsys, "sweep", "--code", "2x2", "--region", bad)
         assert (code, out) == (1, "")
-        assert err.startswith("error: Invalid value for '--region'") and err.count("\n") == 1
+        assert err.startswith("error: argument --region: invalid choice") and err.count("\n") == 1
     _, out, _ = run(capsys, "sweep", "--help")
-    assert "[data|check|codestruct|all]" in out
+    assert "{data,check,codestruct,all}" in out
 
 
 def test_sweep_skips_infeasible_rows_with_warning(capsys):
@@ -268,18 +288,19 @@ def test_verify_collision_exits_2(capsys, tmp_path):
     assert man["outputs"]["stdout"] == hashlib.sha256(out.encode()).hexdigest()
 
 
-def test_verify_collision_exits_2_through_the_click_group(capsys, tmp_path):
-    # click's standalone mode drops a command's return value, so exit 2 must
-    # come from the context, the way the installed script runs too
+def test_verify_collision_exits_2_in_a_fresh_process(tmp_path):
+    # the process's exit status is verify-maps' return code, after the report
+    # on stdout and a manifest on stderr that records the argv
     bad = tmp_path / "maps.json"
     addrs = [3, 5, 6, 7, 9, 10, 11, 12, 13]
     bad.write_text(json.dumps({"outer": addrs, "inner": addrs}))
     argv = ["verify-maps", "--file", str(bad)]
-    _, out, err = run(capsys, *argv)
-    result = CliRunner().invoke(cli.cli, argv)
-    assert result.exit_code == 2, result.exception
-    assert out.startswith("invalid:") and result.output.startswith(out)
-    assert json.loads(result.output[len(out):]) == {**json.loads(err), "arguments": []}
+    proc = run_child(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout.startswith("invalid:") and "share key" in proc.stdout
+    man = json.loads(proc.stderr)
+    assert man["command"] == "verify-maps" and man["arguments"] == argv
+    assert man["outputs"]["stdout"] == hashlib.sha256(proc.stdout.encode()).hexdigest()
 
 
 def test_verify_file_reads_search_output(capsys, tmp_path):
@@ -388,8 +409,8 @@ def test_reliability_rejects_bad_rates(capsys):
     for flag, value in [("--lambda", "0"), ("--step", "-5"), ("--t-max", "-1")]:
         code, out, err = run(capsys, "reliability", "--code", "2x2", flag, value)
         assert code == 1 and out == ""
-        assert err.startswith(f"error: Invalid value for '{flag}'")
-    # values click's ranges let through, which the model itself rejects
+        assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1
+    # values the option types let through, which the model itself rejects
     for args, why in [(("--t-max", "inf"), "t_max must be finite"),
                       (("--t-max", "nan"), "t_max must be finite"),
                       (("--step", "nan"), "step must be finite"),
@@ -409,7 +430,7 @@ def test_scalability_table(capsys):
     assert "5x5,25,overlapped,12,37,0.32" in lines
     code, out, err = run(capsys, "scalability", "--max", "1")
     assert code == 1 and out == ""
-    assert err.startswith("error: Invalid value for '--max'")
+    assert err.startswith("error: argument --max: ") and err.count("\n") == 1
     # 255x255 still fits k = 16; 256x256 would need k = 17, refused before any row
     code, out, _ = run(capsys, "scalability", "--max", "255")
     assert code == 0
@@ -445,17 +466,6 @@ def test_search_manifest_records_its_seed(capsys):
     assert json.loads(out)["seed"] == json.loads(err)["seed"] == 3
 
 
-def test_the_click_group_runs_without_main(capsys):
-    argv = ["sweep", "--code", "2x2", "--errors", "1"]
-    code, out, err = run(capsys, *argv)
-    result = CliRunner().invoke(cli.cli, argv)
-    assert (code, result.exit_code) == (0, 0), result.exception
-    # output is stdout then stderr, as a terminal shows them; click hands the
-    # group no raw argv, so its manifest records none
-    assert result.output.startswith(out)
-    assert json.loads(result.output[len(out):]) == {**json.loads(err), "arguments": []}
-
-
 def test_file_report_manifests_to_sibling(capsys, tmp_path):
     out_path = tmp_path / "report.csv"
     code, out, _ = run(capsys, "sweep", "--code", "2x2", "--region", "check",
@@ -467,10 +477,18 @@ def test_file_report_manifests_to_sibling(capsys, tmp_path):
     assert man["arguments"][0] == "sweep"
 
 
-def test_out_into_a_missing_directory_is_a_usage_error(capsys, tmp_path):
-    code, out, err = run(capsys, "scalability", "--out", tmp_path / "missing" / "x.csv")
+@pytest.mark.parametrize("argv", [
+    pytest.param(["scalability", "--out", "missing/x.csv"], id="out-into-missing-dir"),
+    pytest.param(["scalability", "--out", "adir"], id="out-onto-a-dir"),
+    pytest.param(["verify-maps", "--file", "missing.json"], id="file-missing"),
+])
+def test_an_unusable_path_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]  # no report, no manifest
 
 
 def test_ctrl_c_exits_1_without_an_error_line_or_manifest(capsys, monkeypatch):
@@ -479,7 +497,7 @@ def test_ctrl_c_exits_1_without_an_error_line_or_manifest(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "compare", interrupted)
     code, out, err = run(capsys, "scalability")
-    # click turns the interrupt into Abort after ending the terminal line
+    # main ends the terminal line that ^C left, and prints no error or manifest
     assert (code, out, err) == (1, "", "\n")
 
 
@@ -493,14 +511,7 @@ def test_repeated_runs_are_byte_identical(capsys):
 
 
 def test_console_entry_point_runs():
-    # the child imports the package under test, installed or not
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "overlap_ecc.cli", "scalability", "--max", "3"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_child("scalability", "--max", "3")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "size,N,ecc,check_bits,total_bits,rc"
 
